@@ -9,10 +9,19 @@ Every layer offers two execution paths backed by the same kernel math:
   forward on plain arrays for the streaming runtime. Causal layers cache
   exactly ``(kernel-1)*dilation`` past frames.
 
+Each conv ``step`` is one BLAS call on a view of ``w.data``: a GEMV over the
+flattened dilated window (``Conv1d``), a GEMM over im2col columns
+(``Conv2d``), one contraction over input channels and time taps followed by
+``Kf`` strided adds (``ConvTranspose2d``); each LSTM layer is one GEMV over
+``[x; h]``. No re-laid-out copy of a weight is cached, because checkpoint
+loading, stage zeroing and the optimizer all update ``w.data`` in place and a
+cached copy would go stale.
+
 Feature layouts: 1-D ``[C, T]``, 2-D ``[C, T, F]``, recurrent ``[T, D]``.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from .autodiff import Tensor, make_node
@@ -87,7 +96,8 @@ class Conv1d:
         if self.cache_frames == 0:
             return self.w.data[:, :, 0] @ frame + self.b.data
         win = np.concatenate([state["cache"], frame[:, None]], axis=1)
-        y = np.einsum("oci,ci->o", self.w.data, win[:, :: self.dilation]) + self.b.data
+        taps = win[:, :: self.dilation].ravel()  # [Cin*K], same order as the weight rows
+        y = self.w.data.reshape(self.cout, -1) @ taps + self.b.data
         state["cache"] = win[:, 1:]
         return y
 
@@ -171,17 +181,17 @@ class Conv2d:
         return {"cache": np.zeros((self.cin, self.cache_frames, freq), dtype=dtype)}
 
     def step(self, state, frame):
-        win = np.concatenate([state["cache"], frame[:, None, :]], axis=1)
-        fo = self.out_freq(frame.shape[1])
-        wp = np.pad(win, ((0, 0), (0, 0), (self.pad, self.pad)))
-        y = np.zeros((self.cout, fo), dtype=frame.dtype)
-        for i in range(self.kt):
-            for j in range(self.kf):
-                xs = wp[:, i, j : j + self.stride * (fo - 1) + 1 : self.stride]
-                y += np.tensordot(self.w.data[:, :, i, j], xs, axes=(1, 0))
-        y += self.b.data[:, None]
+        f = frame.shape[1]
+        fo = self.out_freq(f)
+        p = self.pad
+        win = np.zeros((self.cin, self.kt, f + 2 * p), dtype=frame.dtype)  # [Cin,Kt,F+2*pad]
+        win[:, :-1, p : p + f] = state["cache"]
+        win[:, -1, p : p + f] = frame
+        taps = sliding_window_view(win, self.kf, axis=2)[:, :, :: self.stride]  # [Cin,Kt,Fo,Kf]
+        cols = taps.transpose(0, 1, 3, 2).reshape(-1, fo)  # im2col [Cin*Kt*Kf, Fo]
+        y = self.w.data.reshape(self.cout, -1) @ cols + self.b.data[:, None]
         if self.cache_frames:
-            state["cache"] = win[:, 1:, :]
+            state["cache"] = win[:, 1:, p : p + f]
         return y
 
     @property
@@ -272,12 +282,11 @@ class ConvTranspose2d:
         f = frame.shape[1]
         out_freq = self.out_freq or self.natural_out_freq(f)
         span = self.stride * (f - 1) + self.kf
+        # tap (i, j) of x[t - i] lands on output bins j, j + stride, ...
+        contrib = np.tensordot(self.w.data, win[:, ::-1], axes=([1, 2], [0, 1]))  # [Cout,Kf,F]
         buf = np.zeros((self.cout, span), dtype=frame.dtype)
-        for i in range(self.kt):
-            xi = win[:, self.kt - 1 - i, :]  # x[t - i]
-            for j in range(self.kf):
-                buf[:, j : j + self.stride * (f - 1) + 1 : self.stride] += np.tensordot(
-                    self.w.data[:, :, i, j], xi, axes=(1, 0))
+        for j in range(self.kf):
+            buf[:, j : j + self.stride * (f - 1) + 1 : self.stride] += contrib[:, j]
         take = min(out_freq, span - self.pad)
         y = np.zeros((self.cout, out_freq), dtype=frame.dtype)
         y[:, :take] = buf[:, self.pad : self.pad + take]
@@ -635,9 +644,7 @@ class Lstm:
         hid = self.hidden
         inp = vec
         for l in range(self.layers):
-            d = inp.shape[0]
-            wl, bl = self.ws[l].data, self.bs[l].data
-            gate = wl[:, :d] @ inp + wl[:, d:] @ state["h"][l] + bl
+            gate = self.ws[l].data @ np.concatenate([inp, state["h"][l]]) + self.bs[l].data
             i_ = _sigmoid(gate[:hid])
             f_ = _sigmoid(gate[hid : 2 * hid])
             g_ = np.tanh(gate[2 * hid : 3 * hid])

@@ -109,7 +109,11 @@ class ParamStore:
                 fh.write(raw)
 
     def load(self, path):
-        """Restore parameters/buffers bit-exactly; shapes must match the model."""
+        """Restore parameters/buffers bit-exactly; shapes must match the model.
+
+        A file that is unreadable, malformed or made for another model raises
+        ``CheckpointError``.
+        """
         try:
             with open(path, "rb") as fh:
                 magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -120,24 +124,44 @@ class ParamStore:
                     header = json.loads(fh.read(hlen).decode())
                 except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                     raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
+                if not isinstance(header, dict):
+                    raise CheckpointError(f"{path}: header is not a JSON object")
                 if header.get("version") != CHECKPOINT_VERSION:
                     raise CheckpointError(f"{path}: unsupported version {header.get('version')}")
                 blob = fh.read()
         except OSError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
-        names = {e["name"] for e in header["tensors"]}
+        entries = header.get("tensors")
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and isinstance(e.get("name"), str) for e in entries):
+            raise CheckpointError(f"{path}: header has no valid tensor table")
+        names = {e["name"] for e in entries}
         expected = set(self.params) | set(self.buffers)
         if names != expected:
             missing = sorted(expected - names)[:3]
             extra = sorted(names - expected)[:3]
             raise CheckpointError(f"{path}: tensor set mismatch (missing {missing}, extra {extra})")
-        for e in header["tensors"]:
-            raw = blob[e["offset"] : e["offset"] + e["nbytes"]]
-            if len(raw) != e["nbytes"]:
-                raise CheckpointError(f"{path}: truncated blob for {e['name']}")
-            arr = np.frombuffer(raw, dtype=np.dtype(e["dtype"])).reshape(e["shape"]).copy()
-            target = self.params[e["name"]].data if e["kind"] == "param" else self.buffers[e["name"]]
+        for e in entries:
+            arr = _decode_entry(path, e, blob)
+            name = e["name"]
+            target = self.params[name].data if name in self.params else self.buffers[name]
             if target.shape != arr.shape:
-                raise CheckpointError(
-                    f"{path}: {e['name']} shape {arr.shape} != model {target.shape}")
+                raise CheckpointError(f"{path}: {name} shape {arr.shape} != model {target.shape}")
             target[...] = arr.astype(target.dtype)
+
+
+def _decode_entry(path, e, blob):
+    """The array that header entry ``e`` describes in ``blob``."""
+    offset, nbytes = e.get("offset"), e.get("nbytes")
+    if not all(type(v) is int and v >= 0 for v in (offset, nbytes)):
+        raise CheckpointError(f"{path}: {e['name']}: bad offset/nbytes {offset!r}/{nbytes!r}")
+    raw = blob[offset : offset + nbytes]
+    if len(raw) != nbytes:
+        raise CheckpointError(f"{path}: truncated blob for {e['name']}")
+    try:
+        arr = np.frombuffer(raw, dtype=np.dtype(e["dtype"])).reshape(e["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {e['name']}: bad dtype/shape ({exc!r})") from exc
+    if arr.dtype.kind not in "fiu":
+        raise CheckpointError(f"{path}: {e['name']}: non-numeric dtype {arr.dtype}")
+    return arr

@@ -1,6 +1,8 @@
 """Layer zoo against naive oracles: loop convolutions, hand-unrolled LSTM
 gates, two-pass normalization statistics, finite differences."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from fbse import autodiff as ad
 from fbse import gradcheck, layers
 from fbse.autodiff import Tensor
 from fbse.errors import ShapeMismatchError
-from fbse.params import ParamStore
+from fbse.params import CHECKPOINT_MAGIC, ParamStore
 
 
 def naive_causal_conv1d(x, w, b, d):
@@ -333,3 +335,27 @@ class TestCheckpoint:
         layers.Conv1d(other, "different_name", 3, 4, kernel=3)
         with pytest.raises(CheckpointError):
             other.load(path)
+
+        raw = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 8
+        hlen = int.from_bytes(raw[len(CHECKPOINT_MAGIC) : start], "little")
+        header, blob = json.loads(raw[start : start + hlen]), raw[start + hlen :]
+
+        def entry_with(**fields):
+            h = json.loads(json.dumps(header))
+            h["tensors"][0].update(fields)
+            return h
+
+        malformed = [
+            {k: v for k, v in header.items() if k != "tensors"},  # no tensor table
+            [header],  # header is a list, not an object
+            entry_with(dtype="bogus"),
+            entry_with(dtype="<U1"),  # parses, but is not a number
+            entry_with(shape=[5, 5]),  # disagrees with nbytes
+            entry_with(offset=-8),
+        ]
+        for h in malformed:
+            text = json.dumps(h).encode()
+            bad.write_bytes(CHECKPOINT_MAGIC + len(text).to_bytes(8, "little") + text + blob)
+            with pytest.raises(CheckpointError):
+                store.load(bad)

@@ -51,6 +51,44 @@ class TestLayerStepEquivalence:
         stepped = np.stack([layer.step(state, x[:, t]) for t in range(10)], axis=1)
         np.testing.assert_allclose(stepped, offline, atol=1e-12)
 
+    @pytest.mark.parametrize("kernel,dilation,t", [(1, 1, 12), (3, 16, 20)],
+                             ids=["kernel1", "cache-longer-than-sequence"])
+    def test_conv1d_shapes(self, kernel, dilation, t):
+        rng = np.random.default_rng(10)
+        layer = layers.Conv1d(ParamStore(10), "c", 5, 4, kernel=kernel, dilation=dilation)
+        x = rng.standard_normal((5, t))
+        offline = layer(Tensor(x)).data
+        state = layer.init_state()
+        stepped = np.stack([layer.step(state, x[:, i]) for i in range(t)], axis=1)
+        np.testing.assert_allclose(stepped, offline, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,stride,pad", [((2, 5), 2, None), ((2, 3), 1, None),
+                                                   ((1, 1), 1, 0)],
+                             ids=["k2x5-s2", "k2x3-s1", "k1x1-pad0"])
+    def test_conv2d_shapes(self, kernel, stride, pad):
+        rng = np.random.default_rng(11)
+        layer = layers.Conv2d(ParamStore(11), "c", 3, 4, kernel=kernel, stride=stride, pad=pad)
+        x = rng.standard_normal((3, 9, 17))
+        offline = layer(Tensor(x)).data
+        state = layer.init_state(17)
+        stepped = np.stack([layer.step(state, x[:, i]) for i in range(9)], axis=1)
+        np.testing.assert_allclose(stepped, offline, atol=1e-12)
+
+    # f=5 input bins: span 11 (k2x3) or 13 (k2x5) before the pad-bin crop; out_freq 8
+    # trims the natural 9 bins, 11 runs past the span and is zero-padded (bias only)
+    @pytest.mark.parametrize("kernel,out_freq", [((2, 5), None), ((2, 3), 8), ((2, 3), 11)],
+                             ids=["k2x5-s2", "trim", "zero-pad"])
+    def test_deconv_shapes(self, kernel, out_freq):
+        rng = np.random.default_rng(12)
+        layer = layers.ConvTranspose2d(ParamStore(12), "d", 3, 4, kernel=kernel, stride=2,
+                                       out_freq=out_freq)
+        layer.b.data[...] = rng.standard_normal(4)
+        x = rng.standard_normal((3, 8, 5))
+        offline = layer(Tensor(x)).data
+        state = layer.init_state(5)
+        stepped = np.stack([layer.step(state, x[:, i]) for i in range(8)], axis=1)
+        np.testing.assert_allclose(stepped, offline, atol=1e-12)
+
     def test_lstm(self):
         rng = np.random.default_rng(3)
         lstm = layers.Lstm(ParamStore(3), "l", 4, 5, 3)
