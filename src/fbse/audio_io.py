@@ -4,7 +4,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from .dsp import AudioBuffer
-from .errors import AudioFormatError, InvalidSampleRateError
+from .errors import AudioFormatError, InvalidSampleRateError, NonFiniteInputError
 
 PCM16_SCALE = 32768.0
 
@@ -13,7 +13,7 @@ def read_wav(path) -> AudioBuffer:
     """Load a mono PCM16 or float32 WAV into a float64 AudioBuffer.
 
     PCM16 is scaled by 1/32768; anything multichannel or in another sample
-    format is rejected.
+    format is rejected, and so is a float file holding NaN or inf.
     """
     try:
         rate, data = wavfile.read(path)
@@ -27,6 +27,8 @@ def read_wav(path) -> AudioBuffer:
         samples = data.astype(np.float64)
     else:
         raise AudioFormatError(f"{path}: unsupported sample format {data.dtype}")
+    if not np.isfinite(samples).all():
+        raise NonFiniteInputError(f"{path}: holds NaN or inf samples")
     try:
         return AudioBuffer(samples, int(rate))
     except InvalidSampleRateError as exc:

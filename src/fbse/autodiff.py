@@ -40,17 +40,6 @@ class Tensor:
         self._backward_fn = None
         self._spent = False
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def zero_grad(self):
-        self.grad = None
-
     def accumulate_grad(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -103,15 +92,6 @@ def _toposort(root):
     return order
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    return Tensor(arr)
-
-
 def make_node(data, parents, backward_fn) -> Tensor:
     """Wrap an op result; drops the closure when no parent needs gradients."""
     if _grad_enabled[-1] and any(p.requires_grad or p._parents for p in parents):
@@ -156,23 +136,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         b.accumulate_grad(g * a_data)
 
     return make_node(a_data * b_data, (a, b), bw)
-
-
-def scale(a: Tensor, k: float) -> Tensor:
-    def bw(g):
-        a.accumulate_grad(g * k)
-
-    return make_node(a.data * k, (a,), bw)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a_data, b_data = a.data, b.data
-
-    def bw(g):
-        a.accumulate_grad(g @ b_data.T)
-        b.accumulate_grad(a_data.T @ g)
-
-    return make_node(a_data @ b_data, (a, b), bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -247,15 +210,6 @@ def moveaxis(x: Tensor, src: int, dst: int) -> Tensor:
         x.accumulate_grad(np.moveaxis(g, dst, src))
 
     return make_node(np.ascontiguousarray(np.moveaxis(x.data, src, dst)), (x,), bw)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-
-    def bw(g):
-        x.accumulate_grad(np.full_like(x.data, float(g) / n))
-
-    return make_node(np.asarray(x.data.mean()), (x,), bw)
 
 
 def sum_all(x: Tensor) -> Tensor:

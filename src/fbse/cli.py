@@ -18,6 +18,7 @@ from .errors import (
     ConfigError,
     FbseError,
     InvalidSampleRateError,
+    NonFiniteInputError,
 )
 
 EXIT_OK = 0
@@ -73,7 +74,7 @@ def cmd_enhance(args) -> int:
         return EXIT_USAGE
     try:
         audio = _read_48k(args.input)
-    except (AudioFormatError, InvalidSampleRateError, OSError) as exc:
+    except (AudioFormatError, InvalidSampleRateError, NonFiniteInputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_AUDIO
     t0 = time.perf_counter()
@@ -152,7 +153,8 @@ def cmd_mix(args) -> int:
         noise = _read_48k(args.noise)
         rng = np.random.default_rng(args.seed)
         noisy, scaled_clean = training.mix_at_snr(clean, noise, args.snr, rng)
-    except (AudioFormatError, InvalidSampleRateError, ValueError, OSError) as exc:
+    except (AudioFormatError, InvalidSampleRateError, NonFiniteInputError, ValueError,
+            OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_AUDIO
     audio_io.write_wav(args.output, noisy, fmt=args.format)

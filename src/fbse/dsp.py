@@ -2,13 +2,21 @@
 
 A 48 kHz signal is split into three interleaved 16 kHz sub-channels
 (``sub[j][m] = x[3*m + j]``) and restored by the exact inverse interleave.
-Each sub-channel is analyzed with a 20 ms / 10 ms-hop Hamming STFT; synthesis
-is weighted overlap-add with per-sample window-energy normalization.
+Each sub-channel is analyzed with a 20 ms / 10 ms-hop periodic Hamming STFT;
+synthesis is weighted overlap-add normalized by the summed squared window, the
+least-squares inverse of Griffin & Lim (1984).
+
+This module is the only definition of that framing: the offline
+:func:`stft`/:func:`istft` and the streaming runtime are both built from
+:func:`analysis_frames` and :func:`synthesis_frames`. A frame spans exactly two
+hops, so the window-energy denominator of any output hop is one of three
+constants (first, middle, last hop) and no running sum is kept.
+
 Complex spectra can be moved between the linear domain and a magnitude-
 compressed domain ``|S|^c * exp(i*arg(S))``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +43,17 @@ LATENCY_SAMPLES_48K = 3 * (WIN_LEN + HOP_LEN)
 
 ZERO_MAG_FLOOR = 1e-12
 OLA_DENOM_FLOOR = 1e-8
+
+#: periodic Hamming analysis/synthesis window (denominator N, not N-1)
+WINDOW = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(WIN_LEN) / WIN_LEN)
+_WIN_SQ = WINDOW * WINDOW
+#: WOLA denominators of the first hop (``w²[:hop]``), a middle hop
+#: (``w²[hop:] + w²[:hop]``) and the last hop (``w²[hop:]``) of a frame grid
+OLA_DENOM_FIRST = np.maximum(_WIN_SQ[:HOP_LEN], OLA_DENOM_FLOOR)
+OLA_DENOM_MIDDLE = np.maximum(_WIN_SQ[HOP_LEN:] + _WIN_SQ[:HOP_LEN], OLA_DENOM_FLOOR)
+OLA_DENOM_LAST = np.maximum(_WIN_SQ[HOP_LEN:], OLA_DENOM_FLOOR)
+for _const in (WINDOW, OLA_DENOM_FIRST, OLA_DENOM_MIDDLE, OLA_DENOM_LAST):
+    _const.flags.writeable = False
 
 LINEAR = "linear"
 COMPRESSED = "compressed"
@@ -86,31 +105,6 @@ class SubChannelBank:
 
 
 @dataclass
-class WindowSpec:
-    """Analysis/synthesis framing: periodic Hamming, 320/160/320 by default."""
-
-    kind: str = "hamming"
-    win_len: int = WIN_LEN
-    hop_len: int = HOP_LEN
-    fft_len: int = FFT_LEN
-
-    def __post_init__(self):
-        if self.kind != "hamming":
-            raise ValueError(f"unsupported window kind {self.kind!r}")
-        if self.hop_len > self.win_len or self.fft_len < self.win_len:
-            raise ValueError("need hop_len <= win_len <= fft_len")
-
-    @property
-    def bins(self) -> int:
-        return self.fft_len // 2 + 1
-
-    def window(self) -> np.ndarray:
-        # periodic variant: denominator N instead of N-1
-        n = np.arange(self.win_len)
-        return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / self.win_len)
-
-
-@dataclass
 class ComplexSpectrum:
     """Frames x bins complex spectrum stored as separate real/imag planes."""
 
@@ -118,16 +112,15 @@ class ComplexSpectrum:
     imag: np.ndarray
     domain: str = LINEAR
     exponent: float | None = None
-    window: WindowSpec = field(default_factory=WindowSpec)
 
     def __post_init__(self):
         self.real = np.asarray(self.real, dtype=np.float64)
         self.imag = np.asarray(self.imag, dtype=np.float64)
         if self.real.shape != self.imag.shape:
             raise ShapeMismatchError(f"real {self.real.shape} vs imag {self.imag.shape}")
-        if self.real.ndim != 2 or self.real.shape[1] != self.window.bins:
+        if self.real.ndim != 2 or self.real.shape[1] != NUM_BINS:
             raise ShapeMismatchError(
-                f"expected (frames, {self.window.bins}) planes, got {self.real.shape}")
+                f"expected (frames, {NUM_BINS}) planes, got {self.real.shape}")
         if self.domain not in (LINEAR, COMPRESSED):
             raise DomainError(f"unknown domain {self.domain!r}")
         if self.domain == COMPRESSED and self.exponent is None:
@@ -136,10 +129,6 @@ class ComplexSpectrum:
     @property
     def frames(self) -> int:
         return self.real.shape[0]
-
-    @property
-    def bins(self) -> int:
-        return self.real.shape[1]
 
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.real, self.imag)
@@ -176,66 +165,66 @@ def interpolate(bank: SubChannelBank) -> AudioBuffer:
     return AudioBuffer(flat.copy(), FULLBAND_RATE)
 
 
-def frame_count(n_samples: int, w: WindowSpec | None = None) -> int:
+def frame_count(n_samples: int) -> int:
     """Number of analysis frames once the tail is zero-padded to the frame grid."""
-    w = w or WindowSpec()
     if n_samples <= 0:
         raise EmptyInputError("cannot frame an empty signal")
-    if n_samples <= w.win_len:
+    if n_samples <= WIN_LEN:
         return 1
-    return 1 + -(-(n_samples - w.win_len) // w.hop_len)
+    return 1 + -(-(n_samples - WIN_LEN) // HOP_LEN)
 
 
-def padded_length(n_samples: int, w: WindowSpec | None = None) -> int:
-    w = w or WindowSpec()
-    return w.win_len + (frame_count(n_samples, w) - 1) * w.hop_len
+def analysis_frames(frames: np.ndarray) -> np.ndarray:
+    """Windowed rfft of time frames ``[..., WIN_LEN]`` -> complex ``[..., NUM_BINS]``."""
+    return np.fft.rfft(frames * WINDOW, n=FFT_LEN, axis=-1)
 
 
-def stft(x: AudioBuffer, w: WindowSpec | None = None) -> ComplexSpectrum:
+def synthesis_frames(spec: np.ndarray) -> np.ndarray:
+    """irfft, crop and window of spectra ``[..., NUM_BINS]``: the WOLA
+    numerator terms ``[..., WIN_LEN]``."""
+    return np.fft.irfft(spec, n=FFT_LEN, axis=-1)[..., :WIN_LEN] * WINDOW
+
+
+def stft(x: AudioBuffer) -> ComplexSpectrum:
     """Hamming-window short-time transform of a 16 kHz signal.
 
     The tail is zero-padded so the last frame is complete; frame ``t`` covers
     samples ``[t*hop, t*hop + win)``.
     """
-    w = w or WindowSpec()
     if x.sample_rate != SUBBAND_RATE:
         raise InvalidSampleRateError(f"stft needs 16 kHz input, got {x.sample_rate}")
     if x.length == 0:
         raise EmptyInputError("stft of empty signal")
-    total = padded_length(x.length, w)
-    sig = np.zeros(total, dtype=np.float64)
+    sig = np.zeros(WIN_LEN + (frame_count(x.length) - 1) * HOP_LEN, dtype=np.float64)
     sig[: x.length] = x.samples
-    frames = np.lib.stride_tricks.sliding_window_view(sig, w.win_len)[:: w.hop_len]
-    spec = np.fft.rfft(frames * w.window()[None, :], n=w.fft_len, axis=1)
-    return ComplexSpectrum(spec.real.copy(), spec.imag.copy(), LINEAR, window=w)
+    spec = analysis_frames(np.lib.stride_tricks.sliding_window_view(sig, WIN_LEN)[::HOP_LEN])
+    return ComplexSpectrum(spec.real.copy(), spec.imag.copy(), LINEAR)
 
 
 def istft(spec: ComplexSpectrum, length: int | None = None) -> AudioBuffer:
-    """Weighted overlap-add synthesis with per-sample window-energy normalization.
+    """Weighted overlap-add synthesis normalized by the window energy.
 
-    Returns the full frame-grid signal unless ``length`` truncates it.
+    Hop ``k`` of the output is frame ``k-1``'s second half plus frame ``k``'s
+    first half, divided by the first/middle/last-hop denominator. Returns the
+    full frame-grid signal unless ``length`` truncates it.
     """
     if spec.domain != LINEAR:
         raise DomainError("istft needs a linear-domain spectrum; decompress first")
-    w = spec.window
-    win = w.window()
-    total = w.win_len + (spec.frames - 1) * w.hop_len
-    num = np.zeros(total, dtype=np.float64)
-    den = np.zeros(total, dtype=np.float64)
-    segs = np.fft.irfft(spec.real + 1j * spec.imag, n=w.fft_len, axis=1)[:, : w.win_len]
-    segs = segs * win[None, :]
-    wsq = win * win
-    for t in range(spec.frames):
-        lo = t * w.hop_len
-        num[lo : lo + w.win_len] += segs[t]
-        den[lo : lo + w.win_len] += wsq
-    out = num / np.maximum(den, OLA_DENOM_FLOOR)
+    segs = synthesis_frames(spec.real + 1j * spec.imag)
+    hops = np.zeros((spec.frames + 1, HOP_LEN), dtype=np.float64)
+    hops[1:] += segs[:, HOP_LEN:]
+    hops[:-1] += segs[:, :HOP_LEN]
+    den = np.empty_like(hops)
+    den[:] = OLA_DENOM_MIDDLE
+    den[0] = OLA_DENOM_FIRST
+    den[-1] = OLA_DENOM_LAST
+    out = (hops / den).reshape(-1)
     if length is not None:
         out = out[:length]
     return AudioBuffer(out, SUBBAND_RATE)
 
 
-def _compressed_planes(real, imag, c):
+def compressed_planes(real, imag, c):
     """Return (real, imag) scaled so magnitude becomes |.|**c, phase kept."""
     mag = np.hypot(real, imag)
     scale = np.zeros_like(mag)
@@ -254,8 +243,8 @@ def compress(spec: ComplexSpectrum, c: float) -> ComplexSpectrum:
         raise InvalidExponentError(f"compression exponent must be in (0, 1], got {c}")
     if spec.domain != LINEAR:
         raise DomainError("compress expects a linear-domain spectrum")
-    r, i = _compressed_planes(spec.real, spec.imag, c)
-    return ComplexSpectrum(r, i, COMPRESSED, exponent=c, window=spec.window)
+    r, i = compressed_planes(spec.real, spec.imag, c)
+    return ComplexSpectrum(r, i, COMPRESSED, exponent=c)
 
 
 def decompress(spec: ComplexSpectrum, c: float) -> ComplexSpectrum:
@@ -266,5 +255,5 @@ def decompress(spec: ComplexSpectrum, c: float) -> ComplexSpectrum:
         raise DomainError("decompress expects a compressed-domain spectrum")
     if spec.exponent is not None and abs(spec.exponent - c) > 1e-12:
         raise DomainError(f"spectrum was compressed with c={spec.exponent}, asked to invert c={c}")
-    r, i = _compressed_planes(spec.real, spec.imag, 1.0 / c)
-    return ComplexSpectrum(r, i, LINEAR, window=spec.window)
+    r, i = compressed_planes(spec.real, spec.imag, 1.0 / c)
+    return ComplexSpectrum(r, i, LINEAR)

@@ -33,6 +33,10 @@ class OversizeBlockError(FbseError):
     """Streaming push block larger than one hop."""
 
 
+class NonFiniteInputError(FbseError):
+    """Input audio holds NaN or inf samples."""
+
+
 class StreamClosedError(FbseError):
     """Push after flush on the same stream."""
 

@@ -96,16 +96,9 @@ class ModelConfig:
     comp: UnetConfig = field(default_factory=UnetConfig)
     compression: float = 0.3
     bins: int = dsp.NUM_BINS
-    mask_convs: int = RI_PLANES
-    comp_in_channels: int = COMP_IN_CHANNELS
-    comp_out_channels: int = RI_PLANES
     dtype: str = "float64"
 
     def __post_init__(self):
-        if self.mask_convs != 2 * NUM_CHANNELS:
-            raise ConfigError("mask head must emit one real+imag plane per sub-channel")
-        if self.comp_in_channels != 2 * RI_PLANES or self.comp_out_channels != RI_PLANES:
-            raise ConfigError("compensation stage is fixed at 12 input / 6 output channels")
         ladder = encoder_freqs(self.unet, self.bins)
         if min(ladder) < 1:
             raise ConfigError(f"frequency ladder collapses: {ladder}")
@@ -778,7 +771,8 @@ def complexity_report(cfg: ModelConfig):
     report["mask_head"] = (RI_PLANES * _conv1d_params(head_in, bins, 1),
                            RI_PLANES * head_in * bins)
     comp_p, comp_m = _unet_counts(cfg.comp, COMP_IN_CHANNELS, RI_PLANES, bins)
-    report["compensation"] = (comp_p + 2 * RI_PLANES, comp_m + RI_PLANES * bins)
+    # the ChannelAffine heads add params but only elementwise work, which is not counted
+    report["compensation"] = (comp_p + 2 * RI_PLANES, comp_m)
     return {name: {"params": p, "macs_per_frame": m} for name, (p, m) in report.items()}
 
 

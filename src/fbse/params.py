@@ -79,10 +79,6 @@ class ParamStore:
         for t in self.params.values():
             t.grad = None
 
-    def scale_all(self, factor):
-        for t in self.params.values():
-            t.data *= factor
-
     def save(self, path):
         entries = []
         blobs = []

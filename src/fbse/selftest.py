@@ -46,20 +46,18 @@ def check_stft_istft(n_signals=100, seed=1):
         worst_rec = max(worst_rec, float(rel.max()))
     if worst_rec > 1e-6:
         return False, f"reconstruction relative error {worst_rec:.2e} > 1e-6"
-    w = dsp.WindowSpec()
-    win = w.window()
     worst_dft = 0.0
     for _ in range(3):
         x = rng.uniform(-1, 1, 1600)
         spec = dsp.stft(dsp.AudioBuffer(x, 16000))
-        k = np.arange(w.win_len)
+        k = np.arange(dsp.WIN_LEN)
         for t in range(spec.frames):
-            seg = np.zeros(w.win_len)
-            chunk = x[t * w.hop_len : t * w.hop_len + w.win_len]
+            seg = np.zeros(dsp.WIN_LEN)
+            chunk = x[t * dsp.HOP_LEN : t * dsp.HOP_LEN + dsp.WIN_LEN]
             seg[: chunk.size] = chunk
-            seg = seg * win
+            seg = seg * dsp.WINDOW
             for m in (0, 7, 80, 160):
-                ref = np.sum(seg * np.exp(-2j * np.pi * m * k / w.fft_len))
+                ref = np.sum(seg * np.exp(-2j * np.pi * m * k / dsp.FFT_LEN))
                 worst_dft = max(worst_dft,
                                 abs(spec.real[t, m] - ref.real),
                                 abs(spec.imag[t, m] - ref.imag))

@@ -10,6 +10,12 @@ drains the remainder so that total output equals total input bit-for-bit in
 length. The emitted sample stream is identical to the offline
 :meth:`fbse.model.Enhancer.forward` output.
 
+The framing is defined once, in :mod:`fbse.dsp`: each hop makes one analysis
+and one synthesis call for all three sub-channels. As a frame spans two hops,
+the only synthesis state is the previous frame's second half (``ola_tail``),
+and each emitted hop is divided by a constant first- or middle-hop
+denominator (the last-hop one at flush).
+
 Per-layer state is exact: every dilated convolution caches ``(k-1)*d`` past
 frames, the LSTMs carry (h, c), and memory stays O(model) regardless of
 stream length.
@@ -22,7 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsp
-from .errors import EmptyInputError, OversizeBlockError, ShapeMismatchError, StreamClosedError
+from .errors import (
+    EmptyInputError,
+    NonFiniteInputError,
+    OversizeBlockError,
+    ShapeMismatchError,
+    StreamClosedError,
+)
 
 BLOCK_SAMPLES = 3 * dsp.HOP_LEN            # 480 at 48 kHz
 LATENCY_SAMPLES = dsp.LATENCY_SAMPLES_48K  # 1440 at 48 kHz
@@ -49,14 +61,10 @@ class StreamState:
     def __init__(self, model):
         self.model = model
         self.model_state = model.init_stream_state()
-        w = dsp.WindowSpec()
-        self.window = w.window()
-        self.win_sq = self.window * self.window
         self.compression = model.cfg.compression
         self.pending = np.zeros(0, dtype=np.float64)
         self.prev_hop = np.zeros((3, dsp.HOP_LEN), dtype=np.float64)
-        self.synth_tail = np.zeros((3, dsp.WIN_LEN), dtype=np.float64)
-        self.den_tail = np.zeros((3, dsp.WIN_LEN), dtype=np.float64)
+        self.ola_tail = np.zeros((3, dsp.HOP_LEN), dtype=np.float64)  # previous frame's 2nd half
         self.hops = 0
         self.frames_done = 0
         self.samples_in = 0           # real samples pushed
@@ -68,14 +76,6 @@ class StreamState:
     # spec-facing views ------------------------------------------------------
 
     @property
-    def pending_samples(self):
-        return self.pending
-
-    @property
-    def frames_processed(self):
-        return self.frames_done
-
-    @property
     def conv_caches(self):
         return {path: arr for path, arr in _walk(self.model_state) if path.endswith("cache")}
 
@@ -83,10 +83,6 @@ class StreamState:
     def lstm_states(self):
         return {path: arr for path, arr in _walk(self.model_state)
                 if path.endswith((".h", ".c"))}
-
-    @property
-    def ola_tail(self):
-        return self.synth_tail
 
 
 def _walk(node, prefix=""):
@@ -105,37 +101,32 @@ def stream_create(model) -> StreamState:
     return StreamState(model)
 
 
+def _queue_hop(state: StreamState, num16, den):
+    """Normalize one WOLA hop [3, HOP_LEN], interleave it to 48 kHz and queue it."""
+    out48 = np.empty(BLOCK_SAMPLES, dtype=np.float64)
+    out48.reshape(dsp.HOP_LEN, 3)[...] = (num16 / den).T
+    state.ready = np.concatenate([state.ready, out48])
+
+
 def _consume_block(state: StreamState, block48):
     """Advance one hop: 480 interleaved samples -> maybe one model frame."""
     hops = np.ascontiguousarray(block48.reshape(dsp.HOP_LEN, 3).T)
     if state.hops >= 1:
         t0 = time.perf_counter()
-        frame_pairs = []
-        for ch in range(3):
-            seg = np.concatenate([state.prev_hop[ch], hops[ch]]) * state.window
-            spec = np.fft.rfft(seg, n=dsp.FFT_LEN)
-            r, i = dsp._compressed_planes(spec.real, spec.imag, state.compression)
-            frame_pairs.append((r.astype(state.model.dtype), i.astype(state.model.dtype)))
+        spec = dsp.analysis_frames(np.concatenate([state.prev_hop, hops], axis=1))
+        r, i = dsp.compressed_planes(spec.real, spec.imag, state.compression)
+        dt = state.model.dtype
+        frame_pairs = [(r[ch].astype(dt), i[ch].astype(dt)) for ch in range(3)]
         t1 = time.perf_counter()
         enhanced = state.model.stream_step(state.model_state, frame_pairs)
         t2 = time.perf_counter()
-        chunk16 = np.empty((3, dsp.HOP_LEN), dtype=np.float64)
-        for ch, (er, ei) in enumerate(enhanced):
-            lr, li = dsp._compressed_planes(np.asarray(er, dtype=np.float64),
-                                            np.asarray(ei, dtype=np.float64),
-                                            1.0 / state.compression)
-            seg = np.fft.irfft(lr + 1j * li, n=dsp.FFT_LEN)[: dsp.WIN_LEN] * state.window
-            state.synth_tail[ch] += seg
-            state.den_tail[ch] += state.win_sq
-            chunk16[ch] = state.synth_tail[ch, : dsp.HOP_LEN] / np.maximum(
-                state.den_tail[ch, : dsp.HOP_LEN], dsp.OLA_DENOM_FLOOR)
-        state.synth_tail[:, : dsp.HOP_LEN] = state.synth_tail[:, dsp.HOP_LEN :]
-        state.synth_tail[:, dsp.HOP_LEN :] = 0.0
-        state.den_tail[:, : dsp.HOP_LEN] = state.den_tail[:, dsp.HOP_LEN :]
-        state.den_tail[:, dsp.HOP_LEN :] = 0.0
-        out48 = np.empty(BLOCK_SAMPLES, dtype=np.float64)
-        out48.reshape(dsp.HOP_LEN, 3)[...] = chunk16.T
-        state.ready = np.concatenate([state.ready, out48])
+        lr, li = dsp.compressed_planes(np.array([er for er, _ in enhanced], dtype=np.float64),
+                                       np.array([ei for _, ei in enhanced], dtype=np.float64),
+                                       1.0 / state.compression)
+        segs = dsp.synthesis_frames(lr + 1j * li)
+        den = dsp.OLA_DENOM_FIRST if state.frames_done == 0 else dsp.OLA_DENOM_MIDDLE
+        _queue_hop(state, state.ola_tail + segs[:, : dsp.HOP_LEN], den)
+        state.ola_tail = segs[:, dsp.HOP_LEN :]
         state.frames_done += 1
         t3 = time.perf_counter()
         state.timers["dsp"] += (t1 - t0) + (t3 - t2)
@@ -159,7 +150,8 @@ def stream_push(state: StreamState, block) -> np.ndarray:
 
     Empty until the 1440-sample latency is buffered, then one hop per push.
     Partial blocks are buffered; a short final block is completed by
-    ``stream_flush``.
+    ``stream_flush``. A block holding NaN or inf raises
+    :class:`~fbse.errors.NonFiniteInputError` and leaves the stream as it was.
     """
     if state.closed:
         raise StreamClosedError("stream already flushed")
@@ -168,6 +160,8 @@ def stream_push(state: StreamState, block) -> np.ndarray:
         raise ShapeMismatchError(f"expected mono block, got shape {block.shape}")
     if block.size > BLOCK_SAMPLES:
         raise OversizeBlockError(f"block of {block.size} samples exceeds hop of {BLOCK_SAMPLES}")
+    if not np.isfinite(block).all():
+        raise NonFiniteInputError("block holds NaN or inf samples")
     state.samples_in += block.size
     state.pending = np.concatenate([state.pending, block])
     while state.pending.size >= BLOCK_SAMPLES:
@@ -196,12 +190,8 @@ def stream_flush(state: StreamState) -> np.ndarray:
     needed_frames = dsp.frame_count(sub_len)
     while state.frames_done < needed_frames:
         _consume_block(state, np.zeros(BLOCK_SAMPLES, dtype=np.float64))
-    # after the last frame the first hop of the tail holds the final samples
-    chunk16 = state.synth_tail[:, : dsp.HOP_LEN] / np.maximum(
-        state.den_tail[:, : dsp.HOP_LEN], dsp.OLA_DENOM_FLOOR)
-    out48 = np.empty(BLOCK_SAMPLES, dtype=np.float64)
-    out48.reshape(dsp.HOP_LEN, 3)[...] = chunk16.T
-    state.ready = np.concatenate([state.ready, out48])
+    # the last frame's second half is the final hop of the frame grid
+    _queue_hop(state, state.ola_tail, dsp.OLA_DENOM_LAST)
     return _emit(state, state.samples_in)
 
 

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import dsp
 from .autodiff import Tensor, make_node
-from .dsp import LINEAR, AudioBuffer, ZERO_MAG_FLOOR
-from .errors import DomainError, ShapeMismatchError
+from .dsp import AudioBuffer, ZERO_MAG_FLOOR
+from .errors import ShapeMismatchError
 
 SDR_CAP_DB = 100.0
 
@@ -24,15 +24,13 @@ class LossConfig:
     ri_weight: float = 0.3
     mag_weight: float = 0.7
     compression: float = 0.3
-    require_convex: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.compression <= 1.0:
             raise ValueError(f"compression exponent must be in (0,1], got {self.compression}")
-        if self.require_convex and abs(self.ri_weight + self.mag_weight - 1.0) > 1e-9:
+        if abs(self.ri_weight + self.mag_weight - 1.0) > 1e-9:
             raise ValueError(
-                f"ri_weight + mag_weight must equal 1 (got {self.ri_weight + self.mag_weight}); "
-                "set require_convex=False to override")
+                f"ri_weight + mag_weight must equal 1 (got {self.ri_weight + self.mag_weight})")
 
 
 def _power_stats(r, i, c):
@@ -72,32 +70,6 @@ def _cmse_channel(est_r, est_i, ref_r, ref_i, cfg: LossConfig):
     grad_i = (2.0 * lam * (di_c * (p1 + cm1 * est_i**2 * p3) + dr_c * cm1 * est_r * est_i * p3)
               + 2.0 * beta * dm_c * c * est_i * p2)
     return total, grad_r, grad_i
-
-
-def cmse_loss(est, ref, cfg: LossConfig | None = None):
-    """Combined compressed-RI + compressed-magnitude MSE over 3 sub-channels.
-
-    ``est`` and ``ref`` are lists of linear-domain :class:`ComplexSpectrum`;
-    compression happens inside. Returns ``(loss, grads)`` where ``grads`` is a
-    list of ``(d_real, d_imag)`` arrays w.r.t. the estimated linear planes.
-    The loss is the mean over channels of per-channel sums normalized by
-    frames*bins.
-    """
-    cfg = cfg or LossConfig()
-    if len(est) != len(ref):
-        raise ShapeMismatchError(f"{len(est)} estimated channels vs {len(ref)} reference")
-    total = 0.0
-    grads = []
-    for e, r in zip(est, ref):
-        if e.domain != LINEAR or r.domain != LINEAR:
-            raise DomainError("cmse_loss expects linear-domain spectra")
-        if e.real.shape != r.real.shape:
-            raise ShapeMismatchError(f"est {e.real.shape} vs ref {r.real.shape}")
-        norm = len(est) * e.real.size
-        s, gr, gi = _cmse_channel(e.real, e.imag, r.real, r.imag, cfg)
-        total += s / norm
-        grads.append((gr / norm, gi / norm))
-    return total, grads
 
 
 def cmse_loss_op(est_pairs, ref_pairs, cfg: LossConfig | None = None) -> Tensor:
@@ -188,12 +160,6 @@ def mix_at_snr(speech: AudioBuffer, noise: AudioBuffer, snr_db: float, rng=None)
             AudioBuffer(s * scale, speech.sample_rate))
 
 
-def snr_mix(speech: AudioBuffer, noise: AudioBuffer, snr_db: float, rng=None) -> AudioBuffer:
-    """Noisy mixture at the requested SNR (see :func:`mix_at_snr`)."""
-    noisy, _ = mix_at_snr(speech, noise, snr_db, rng)
-    return noisy
-
-
 def sdr(ref: AudioBuffer, est: AudioBuffer) -> float:
     """Energy-ratio source-to-distortion in dB on aligned signals, capped at
     100 dB as est approaches ref exactly."""
@@ -280,10 +246,8 @@ class ScheduleState:
         return self.phase in (PHASE_STAGE2, PHASE_JOINT)
 
 
-def schedule_tick(state: ScheduleState, val_loss: float,
-                  stage_losses=None) -> ScheduleState:
-    """Advance one epoch. ``stage_losses`` is accepted for logging parity but
-    plateau detection uses the joint validation loss."""
+def schedule_tick(state: ScheduleState, val_loss: float) -> ScheduleState:
+    """Advance one epoch; plateau detection uses the joint validation loss."""
     upd = {"epoch": state.epoch + 1}
     if val_loss < state.best_val:
         upd["best_val"] = val_loss

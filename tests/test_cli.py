@@ -77,6 +77,16 @@ class TestEnhance:
                           "--config", tiny_cfg_path], capsys)
         assert code == 2
 
+    def test_non_finite_input_exits_2(self, tiny_cfg_path, tmp_path, capsys):
+        samples = np.zeros(4800, dtype=np.float32)
+        samples[100] = np.inf
+        path = tmp_path / "inf.wav"
+        wavfile.write(path, 48000, samples)
+        code, _, err = run(["enhance", str(path), str(tmp_path / "o.wav"),
+                            "--config", tiny_cfg_path], capsys)
+        assert code == 2
+        assert "NaN or inf" in err and "Traceback" not in err
+
     def test_corrupt_checkpoint_exits_3(self, tiny_cfg_path, wav_48k, tmp_path, capsys):
         inp = wav_48k("x.wav", np.zeros(4800))
         bad = tmp_path / "bad.ckpt"

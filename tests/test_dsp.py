@@ -93,9 +93,8 @@ def naive_dft(frame):
 class TestStft:
     def test_dc_signal_concentrates_in_bin0(self):
         spec = dsp.stft(buf16(np.ones(320)))
-        w = dsp.WindowSpec().window()
         assert spec.frames == 1
-        assert spec.real[0, 0] == pytest.approx(w.sum(), rel=1e-12)
+        assert spec.real[0, 0] == pytest.approx(dsp.WINDOW.sum(), rel=1e-12)
         assert np.max(np.abs(spec.imag)) < 1e-9
 
     def test_zero_signal(self):
@@ -106,13 +105,12 @@ class TestStft:
         rng = np.random.default_rng(1)
         x = rng.uniform(-1, 1, 1600)
         spec = dsp.stft(buf16(x))
-        w = dsp.WindowSpec()
-        win = w.window()
+        hop, win_len = dsp.HOP_LEN, dsp.WIN_LEN
         for t in range(spec.frames):
-            seg = np.zeros(w.win_len)
-            chunk = x[t * w.hop_len : t * w.hop_len + w.win_len]
+            seg = np.zeros(win_len)
+            chunk = x[t * hop : t * hop + win_len]
             seg[: len(chunk)] = chunk
-            ref = naive_dft(seg * win)
+            ref = naive_dft(seg * dsp.WINDOW)
             np.testing.assert_allclose(spec.real[t], ref.real, atol=1e-9)
             np.testing.assert_allclose(spec.imag[t], ref.imag, atol=1e-9)
 
@@ -133,25 +131,22 @@ class TestStft:
     def test_synthesis_normalization_strictly_positive(self):
         # Hamming never reaches zero, so every per-sample WOLA denominator
         # (any frame overlap pattern) stays strictly positive
-        w = dsp.WindowSpec()
-        win = w.window()
+        win = dsp.WINDOW
         assert win.min() > 0.0
-        den = np.zeros(w.win_len + 9 * w.hop_len)
+        den = np.zeros(dsp.WIN_LEN + 9 * dsp.HOP_LEN)
         for t in range(10):
-            den[t * w.hop_len : t * w.hop_len + w.win_len] += win * win
+            den[t * dsp.HOP_LEN : t * dsp.HOP_LEN + dsp.WIN_LEN] += win * win
         assert den.min() > 0.0
 
     def test_parseval_per_frame(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, 3200)
-        w = dsp.WindowSpec()
         spec = dsp.stft(buf16(x))
-        win = w.window()
         for t in range(spec.frames):
-            seg = x[t * w.hop_len : t * w.hop_len + w.win_len] * win
+            seg = x[t * dsp.HOP_LEN : t * dsp.HOP_LEN + dsp.WIN_LEN] * dsp.WINDOW
             spectral = spec.real[t] ** 2 + spec.imag[t] ** 2
             # one-sided spectrum: double the interior bins
-            energy = (spectral[0] + spectral[-1] + 2 * spectral[1:-1].sum()) / w.fft_len
+            energy = (spectral[0] + spectral[-1] + 2 * spectral[1:-1].sum()) / dsp.FFT_LEN
             assert energy == pytest.approx(np.sum(seg * seg), rel=1e-9)
 
 
@@ -177,12 +172,35 @@ class TestIstft:
         assert not dsp.istft(spec).samples.any()
 
     def test_single_dc_frame(self):
-        w = dsp.WindowSpec()
-        win = w.window()
-        seg = np.fft.rfft(win * 1.0, n=w.fft_len)
+        seg = np.fft.rfft(dsp.WINDOW * 1.0, n=dsp.FFT_LEN)
         spec = dsp.ComplexSpectrum(seg.real[None, :], seg.imag[None, :])
         out = dsp.istft(spec)
-        np.testing.assert_allclose(out.samples, np.ones(w.win_len), atol=1e-10)
+        np.testing.assert_allclose(out.samples, np.ones(dsp.WIN_LEN), atol=1e-10)
+
+    @pytest.mark.parametrize("frames,length", [(1, None), (1, 200), (2, None), (9, None),
+                                               (9, 1000)])
+    def test_matches_per_frame_wola_loop(self, frames, length):
+        # reference: overlap-add every windowed frame and its squared window
+        # sample by sample, then divide (the same adds in the same order)
+        rng = np.random.default_rng(frames)
+        spec = dsp.ComplexSpectrum(rng.standard_normal((frames, dsp.NUM_BINS)),
+                                   rng.standard_normal((frames, dsp.NUM_BINS)))
+        win = dsp.WINDOW
+        total = dsp.WIN_LEN + (frames - 1) * dsp.HOP_LEN
+        num = np.zeros(total)
+        den = np.zeros(total)
+        for t in range(frames):
+            seg = np.fft.irfft(spec.real[t] + 1j * spec.imag[t], n=dsp.FFT_LEN)[: dsp.WIN_LEN]
+            lo = t * dsp.HOP_LEN
+            num[lo : lo + dsp.WIN_LEN] += seg * win
+            den[lo : lo + dsp.WIN_LEN] += win * win
+        ref = (num / np.maximum(den, dsp.OLA_DENOM_FLOOR))[:length]
+        assert np.array_equal(dsp.istft(spec, length=length).samples, ref)
+
+    def test_window_constants_read_only(self):
+        for const in (dsp.WINDOW, dsp.OLA_DENOM_FIRST, dsp.OLA_DENOM_MIDDLE, dsp.OLA_DENOM_LAST):
+            with pytest.raises(ValueError):
+                const[0] = 0.0
 
     def test_compressed_domain_rejected(self):
         spec = dsp.ComplexSpectrum(np.ones((2, 161)), np.zeros((2, 161)))

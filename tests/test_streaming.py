@@ -6,7 +6,7 @@ import pytest
 
 from fbse import dsp, layers, model, streaming
 from fbse.autodiff import Tensor
-from fbse.errors import OversizeBlockError, StreamClosedError
+from fbse.errors import NonFiniteInputError, OversizeBlockError, StreamClosedError
 from fbse.params import ParamStore
 
 
@@ -199,17 +199,35 @@ class TestStreamContract:
         assert out.size == 12 * 480
         assert not out.any()
 
-    def test_partial_final_block(self, tiny_model):
-        x = rand_audio(1000, seed=3)
+    # lengths end before, on and past the first frame, mid-hop and on a hop
+    # boundary, so flush reaches the last-hop denominator from different states
+    @pytest.mark.parametrize("n", [1, 479, 480, 1000, 1440, 1441, 4801])
+    def test_partial_final_block(self, tiny_model, n):
+        x = rand_audio(n, seed=3)
         offline = tiny_model.forward(x)
         state = streaming.stream_create(tiny_model)
-        pieces = [streaming.stream_push(state, x.samples[:480]),
-                  streaming.stream_push(state, x.samples[480:960]),
-                  streaming.stream_push(state, x.samples[960:]),
-                  streaming.stream_flush(state)]
+        pieces = [streaming.stream_push(state, x.samples[lo : lo + 480])
+                  for lo in range(0, n, 480)]
+        pieces.append(streaming.stream_flush(state))
         out = np.concatenate(pieces)
-        assert out.size == 1000
+        assert out.size == n
         np.testing.assert_allclose(out, offline.samples, atol=1e-5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_rejected_without_state_change(self, tiny_model, bad):
+        x = rand_audio(4800, seed=5).samples
+        blocks = [x[k * 480 : (k + 1) * 480] for k in range(10)]
+        clean = streaming.stream_create(tiny_model)
+        hit = streaming.stream_create(tiny_model)
+        for k, block in enumerate(blocks):
+            if k == 4:
+                poisoned = block.copy()
+                poisoned[17] = bad
+                with pytest.raises(NonFiniteInputError):
+                    streaming.stream_push(hit, poisoned)
+            assert np.array_equal(streaming.stream_push(hit, block),
+                                  streaming.stream_push(clean, block))
+        assert np.array_equal(streaming.stream_flush(hit), streaming.stream_flush(clean))
 
     def test_oversize_block_rejected(self, tiny_model):
         state = streaming.stream_create(tiny_model)
@@ -230,7 +248,7 @@ class TestStreamContract:
         assert set(c1) == set(c2)
         for key in c1:
             assert np.array_equal(c1[key], c2[key])
-        assert s1.frames_processed == 0 and not s1.pending_samples.size
+        assert s1.frames_done == 0 and not s1.pending.size
 
 
 class TestStateBookkeeping:
@@ -275,7 +293,7 @@ class TestStateBookkeeping:
             streaming.stream_push(state, rng.uniform(-0.5, 0.5, 480))
         assert {k: v.shape for k, v in state.conv_caches.items()} == shapes
         assert {k: v.shape for k, v in state.lstm_states.items()} == lstm_shapes
-        assert state.ola_tail.shape == (3, dsp.WIN_LEN)
+        assert state.ola_tail.shape == (3, dsp.HOP_LEN)
 
 
 class TestRtf:
