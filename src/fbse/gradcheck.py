@@ -38,20 +38,18 @@ def fd_compare(forward, tensors, h=FD_STEP, rel_tol=REL_TOL):
     analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors]
     worst = 0.0
     for t, g in zip(tensors, analytic):
-        flat = t.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
+        for idx in np.ndindex(t.data.shape):  # in place: t.data may be a strided view
+            orig = t.data[idx]
+            t.data[idx] = orig + h
             fp = float(forward().data)
-            flat[idx] = orig - h
+            t.data[idx] = orig - h
             fm = float(forward().data)
-            flat[idx] = orig
+            t.data[idx] = orig
             fd = (fp - fm) / (2.0 * h)
-            diff = abs(gflat[idx] - fd)
+            diff = abs(g[idx] - fd)
             if diff <= ABS_ESCAPE:
                 continue
-            worst = max(worst, diff / max(abs(gflat[idx]), abs(fd), ABS_ESCAPE))
+            worst = max(worst, diff / max(abs(g[idx]), abs(fd), ABS_ESCAPE))
     return worst, worst <= rel_tol
 
 

@@ -11,11 +11,20 @@ Every layer offers two execution paths backed by the same kernel math:
 
 Each conv ``step`` is one BLAS call on a view of ``w.data``: a GEMV over the
 flattened dilated window (``Conv1d``), a GEMM over im2col columns
-(``Conv2d``), one contraction over input channels and time taps followed by
-``Kf`` strided adds (``ConvTranspose2d``); each LSTM layer is one GEMV over
-``[x; h]``. No re-laid-out copy of a weight is cached, because checkpoint
-loading, stage zeroing and the optimizer all update ``w.data`` in place and a
-cached copy would go stale.
+(``Conv2d``), a GEMM of the ``[Cout*Kf, Cin*Kt]`` weight with the
+time-reversed window followed by ``Kf`` strided adds (``ConvTranspose2d``);
+each LSTM layer is one GEMV over ``[x; h]``. ``ConvTranspose2d`` stores its
+weight in step order ``[Cout, Kf, Cin, Kt]`` and registers the logical
+``[Cout, Cin, Kt, Kf]`` view, so that matrix is a free reshape.
+
+A gated pair (``GatedConv2d``, ``GatedConvTranspose2d`` and the dilated pair
+of the magnitude TCN) owns one stacked weight and one stacked bias of height
+``2*Cout``. Its ``lin`` and ``gate`` tensors, registered in the store under
+their own names, shapes and seeded init, are views of rows ``[:Cout]`` and
+``[Cout:]``; an unregistered layer with ``2*Cout`` outputs over the stacked
+arrays runs the pair's ``step`` as one call with one cache. No copy of a
+weight is cached anywhere, because checkpoint loading, stage zeroing and the
+optimizer all update ``w.data`` in place, through the views.
 
 Feature layouts: 1-D ``[C, T]``, 2-D ``[C, T, F]``, recurrent ``[T, D]``.
 """
@@ -76,11 +85,11 @@ def conv1d_op(x: Tensor, w: Tensor, b: Tensor, dilation: int) -> Tensor:
 class Conv1d:
     """Dilated causal 1-D convolution over the time axis."""
 
-    def __init__(self, store: ParamStore, name, cin, cout, kernel=1, dilation=1):
+    def __init__(self, store: ParamStore, name, cin, cout, kernel=1, dilation=1, out=(None, None)):
         self.name = name
         self.cin, self.cout, self.kernel, self.dilation = cin, cout, kernel, dilation
-        self.w = store.add(f"{name}.weight", (cout, cin, kernel), fan_in=cin * kernel)
-        self.b = store.add(f"{name}.bias", (cout,), zero=True)
+        self.w = store.add(f"{name}.weight", (cout, cin, kernel), fan_in=cin * kernel, out=out[0])
+        self.b = store.add(f"{name}.bias", (cout,), zero=True, out=out[1])
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv1d_op(x, self.w, self.b, self.dilation)
@@ -157,15 +166,16 @@ def conv2d_op(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
 class Conv2d:
     """2-D convolution, causal on the time axis, strided on frequency."""
 
-    def __init__(self, store, name, cin, cout, kernel=(2, 3), stride=1, pad=None):
+    def __init__(self, store, name, cin, cout, kernel=(2, 3), stride=1, pad=None, out=(None, None)):
         self.name = name
         self.cin, self.cout = cin, cout
         self.kt, self.kf = kernel
         self.stride = stride
         self.pad = (self.kf - 1) // 2 if pad is None else pad
         fan_in = cin * self.kt * self.kf
-        self.w = store.add(f"{name}.weight", (cout, cin, self.kt, self.kf), fan_in=fan_in)
-        self.b = store.add(f"{name}.bias", (cout,), zero=True)
+        self.w = store.add(f"{name}.weight", (cout, cin, self.kt, self.kf), fan_in=fan_in,
+                           out=out[0])
+        self.b = store.add(f"{name}.bias", (cout,), zero=True, out=out[1])
 
     def out_freq(self, f):
         return (f + 2 * self.pad - self.kf) // self.stride + 1
@@ -252,7 +262,8 @@ class ConvTranspose2d:
     """Frequency-upsampling transposed conv; output frequency size is pinned
     to the paired encoder resolution (trim/zero-pad on the right)."""
 
-    def __init__(self, store, name, cin, cout, kernel=(2, 3), stride=2, pad=None, out_freq=None):
+    def __init__(self, store, name, cin, cout, kernel=(2, 3), stride=2, pad=None, out_freq=None,
+                 out=(None, None)):
         self.name = name
         self.cin, self.cout = cin, cout
         self.kt, self.kf = kernel
@@ -260,8 +271,11 @@ class ConvTranspose2d:
         self.pad = (self.kf - 1) // 2 if pad is None else pad
         self.out_freq = out_freq
         fan_in = cin * self.kt * self.kf
-        self.w = store.add(f"{name}.weight", (cout, cin, self.kt, self.kf), fan_in=fan_in)
-        self.b = store.add(f"{name}.bias", (cout,), zero=True)
+        w = out[0]
+        if w is None:  # stored in step order [Cout, Kf, Cin, Kt], viewed as [Cout, Cin, Kt, Kf]
+            w = np.empty((cout, self.kf, cin, self.kt), dtype=store.dtype).transpose(0, 2, 3, 1)
+        self.w = store.add(f"{name}.weight", (cout, cin, self.kt, self.kf), fan_in=fan_in, out=w)
+        self.b = store.add(f"{name}.bias", (cout,), zero=True, out=out[1])
 
     def natural_out_freq(self, f):
         return self.stride * (f - 1) + self.kf - 2 * self.pad
@@ -282,8 +296,10 @@ class ConvTranspose2d:
         f = frame.shape[1]
         out_freq = self.out_freq or self.natural_out_freq(f)
         span = self.stride * (f - 1) + self.kf
-        # tap (i, j) of x[t - i] lands on output bins j, j + stride, ...
-        contrib = np.tensordot(self.w.data, win[:, ::-1], axes=([1, 2], [0, 1]))  # [Cout,Kf,F]
+        # tap (i, j) of x[t - i] lands on output bins j, j + stride, ...; undoing the
+        # logical view gives the stored [Cout, Kf, Cin, Kt] order, so no copy is made
+        wmat = self.w.data.transpose(0, 3, 1, 2).reshape(self.cout * self.kf, -1)
+        contrib = (wmat @ win[:, ::-1].reshape(-1, f)).reshape(self.cout, self.kf, f)
         buf = np.zeros((self.cout, span), dtype=frame.dtype)
         for j in range(self.kf):
             buf[:, j : j + self.stride * (f - 1) + 1 : self.stride] += contrib[:, j]
@@ -304,44 +320,73 @@ class ConvTranspose2d:
 
 
 # ---------------------------------------------------------------------------
-# gated wrappers: out = conv_a(x) * sigmoid(conv_b(x))
+# gated pairs: out = lin(x) * sigmoid(gate(x)), one stacked weight per pair
+
+
+class _Unregistered:
+    """Store stand-in for a gated pair's stacked layer: it allocates the
+    stacked arrays and registers nothing; the pair's halves fill them."""
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+
+    def add(self, name, shape, out=None, **init):
+        return Tensor(np.empty(shape, dtype=self.dtype) if out is None else out)
+
+
+def gated_pair(cls, store, name, lin_name, gate_name, cin, cout, *args):
+    """``(lin, gate, pair)``: ``pair`` is an unregistered ``cls`` layer with
+    ``2*cout`` outputs; ``lin`` and ``gate`` are registered under their names
+    over views of its rows ``[:cout]`` and ``[cout:]``."""
+    pair = cls(_Unregistered(store.dtype), name, cin, 2 * cout, *args)
+    w, b = pair.w.data, pair.b.data
+    lin = cls(store, lin_name, cin, cout, *args, out=(w[:cout], b[:cout]))
+    gate = cls(store, gate_name, cin, cout, *args, out=(w[cout:], b[cout:]))
+    return lin, gate, pair
+
+
+def gate_halves(y):
+    """``lin * sigmoid(gate)`` of a stacked pair output ``[lin; gate]``."""
+    c = y.shape[0] // 2
+    return y[:c] * _sigmoid(y[c:])
 
 
 class _Gated:
+    def __init__(self, cls, store, name, cin, cout, *args):
+        self.name = name
+        self.lin, self.gate, self.pair = gated_pair(cls, store, name, f"{name}.lin",
+                                                    f"{name}.gate", cin, cout, *args)
+
     def __call__(self, x: Tensor) -> Tensor:
         from . import autodiff as ad
 
         return ad.mul(self.lin(x), ad.sigmoid(self.gate(x)))
 
     def init_state(self, freq, dtype=np.float64):
-        return {"lin": self.lin.init_state(freq, dtype), "gate": self.gate.init_state(freq, dtype)}
+        return self.pair.init_state(freq, dtype)
 
     def step(self, state, frame):
-        return self.lin.step(state["lin"], frame) * _sigmoid(self.gate.step(state["gate"], frame))
+        return gate_halves(self.pair.step(state, frame))
 
     @property
     def param_count(self):
-        return self.lin.param_count + self.gate.param_count
+        return self.pair.param_count
 
     def macs_per_frame(self, in_freq):
-        return self.lin.macs_per_frame(in_freq) + self.gate.macs_per_frame(in_freq)
+        return self.pair.macs_per_frame(in_freq)
 
 
 class GatedConv2d(_Gated):
     def __init__(self, store, name, cin, cout, kernel=(2, 3), stride=1, pad=None):
-        self.lin = Conv2d(store, f"{name}.lin", cin, cout, kernel, stride, pad)
-        self.gate = Conv2d(store, f"{name}.gate", cin, cout, kernel, stride, pad)
-        self.name = name
+        super().__init__(Conv2d, store, name, cin, cout, kernel, stride, pad)
 
     def out_freq(self, f):
-        return self.lin.out_freq(f)
+        return self.pair.out_freq(f)
 
 
 class GatedConvTranspose2d(_Gated):
     def __init__(self, store, name, cin, cout, kernel=(2, 3), stride=2, pad=None, out_freq=None):
-        self.lin = ConvTranspose2d(store, f"{name}.lin", cin, cout, kernel, stride, pad, out_freq)
-        self.gate = ConvTranspose2d(store, f"{name}.gate", cin, cout, kernel, stride, pad, out_freq)
-        self.name = name
+        super().__init__(ConvTranspose2d, store, name, cin, cout, kernel, stride, pad, out_freq)
 
 
 # ---------------------------------------------------------------------------

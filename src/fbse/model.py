@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import dsp
 from .autodiff import Tensor, no_grad
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ConfigError, NonFiniteInputError, ShapeMismatchError
 from .layers import (
     ChannelAffine,
     Conv1d,
@@ -33,7 +33,8 @@ from .layers import (
     Linear,
     Lstm,
     PReLU,
-    _sigmoid,
+    gate_halves,
+    gated_pair,
 )
 from .params import ParamStore
 
@@ -218,8 +219,9 @@ class GatedTcnBlock:
         feat, hid = cfg.feature_dim, cfg.hidden_dim
         self.pw_in = Conv1d(store, f"{name}.pw_in", feat, hid, 1)
         self.act_in = PReLU(store, f"{name}.act_in", hid)
-        self.dil_lin = Conv1d(store, f"{name}.dil_lin", hid, hid, cfg.kernel, dilation)
-        self.dil_gate = Conv1d(store, f"{name}.dil_gate", hid, hid, cfg.kernel, dilation)
+        self.dil_lin, self.dil_gate, self.dil = gated_pair(
+            Conv1d, store, f"{name}.dil", f"{name}.dil_lin", f"{name}.dil_gate",
+            hid, hid, cfg.kernel, dilation)
         self.act_mid = PReLU(store, f"{name}.act_mid", hid)
         self.pw_out = Conv1d(store, f"{name}.pw_out", hid, feat, 1)
         self.dilation = dilation
@@ -231,11 +233,11 @@ class GatedTcnBlock:
         return ad.add(x, self.pw_out(self.act_mid(g)))
 
     def init_state(self, dtype):
-        return {"dil_lin": self.dil_lin.init_state(dtype), "dil_gate": self.dil_gate.init_state(dtype)}
+        return self.dil.init_state(dtype)
 
     def step(self, state, frame):
         h = self.act_in.step(None, self.pw_in.step(None, frame))
-        g = self.dil_lin.step(state["dil_lin"], h) * _sigmoid(self.dil_gate.step(state["dil_gate"], h))
+        g = gate_halves(self.dil.step(state, h))
         return frame + self.pw_out.step(None, self.act_mid.step(None, g))
 
 
@@ -628,7 +630,13 @@ class Enhancer:
 
     def forward(self, audio: dsp.AudioBuffer, identity_mask=False,
                 disable_compensation=False) -> dsp.AudioBuffer:
-        """Offline enhancement of a 48 kHz buffer; output length == input length."""
+        """Offline enhancement of a 48 kHz buffer; output length == input length.
+
+        A buffer holding NaN or inf raises
+        :class:`~fbse.errors.NonFiniteInputError` before any work is done.
+        """
+        if not np.isfinite(audio.samples).all():
+            raise NonFiniteInputError("audio holds NaN or inf samples")
         bank, comp = self._analysis(audio)
         pairs = [(s.real, s.imag) for s in comp]
         with no_grad():

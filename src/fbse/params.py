@@ -32,15 +32,18 @@ class ParamStore:
             np.random.SeedSequence([self.rng_seed & 0xFFFFFFFF, zlib.crc32(name.encode())])
         )
 
-    def add(self, name, shape, fan_in=None, uniform_bound=None, zero=False) -> Tensor:
+    def add(self, name, shape, fan_in=None, uniform_bound=None, zero=False, out=None) -> Tensor:
         """Create and register one parameter tensor.
 
         ``fan_in`` picks Kaiming-style uniform init (+-sqrt(6/fan_in)),
-        ``uniform_bound`` a plain +-bound, ``zero`` all-zeros.
+        ``uniform_bound`` a plain +-bound, ``zero`` all-zeros. ``out``, an
+        existing array of ``shape`` and the store's dtype (typically a view
+        into a larger stacked array), is initialized in place and becomes the
+        tensor's data.
         """
         if name in self.params:
             raise ValueError(f"duplicate parameter {name!r}")
-        shape = tuple(int(s) for s in shape)
+        shape = tuple(map(int, shape))
         if zero:
             data = np.zeros(shape, dtype=self.dtype)
         else:
@@ -50,7 +53,12 @@ class ParamStore:
                 bound = float(uniform_bound)
             else:
                 raise ValueError(f"{name}: specify fan_in, uniform_bound or zero")
-            data = self._rng(name).uniform(-bound, bound, size=shape).astype(self.dtype)
+            data = self._rng(name).uniform(-bound, bound, size=shape).astype(self.dtype, copy=False)
+        if out is not None:
+            if out.shape != shape or out.dtype != self.dtype:
+                raise ValueError(f"{name}: out is {out.dtype}{out.shape}, want {self.dtype}{shape}")
+            out[...] = data
+            data = out
         t = Tensor(data, requires_grad=True)
         self.params[name] = t
         return t
@@ -59,7 +67,7 @@ class ParamStore:
         """Register a parameter initialized to a constant fill value."""
         if name in self.params:
             raise ValueError(f"duplicate parameter {name!r}")
-        t = Tensor(np.full(tuple(int(s) for s in shape), fill, dtype=self.dtype), requires_grad=True)
+        t = Tensor(np.full(tuple(map(int, shape)), fill, dtype=self.dtype), requires_grad=True)
         self.params[name] = t
         return t
 
@@ -67,7 +75,7 @@ class ParamStore:
         """Non-trainable state (e.g. running normalization statistics)."""
         if name in self.buffers:
             raise ValueError(f"duplicate buffer {name!r}")
-        arr = np.full(tuple(int(s) for s in shape), fill, dtype=self.dtype)
+        arr = np.full(tuple(map(int, shape)), fill, dtype=self.dtype)
         self.buffers[name] = arr
         return arr
 

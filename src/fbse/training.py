@@ -77,12 +77,15 @@ def cmse_loss_op(est_pairs, ref_pairs, cfg: LossConfig | None = None) -> Tensor:
     linear domain, ``ref_pairs`` plain (real, imag) arrays."""
     cfg = cfg or LossConfig()
     n = len(est_pairs)
+    if len(ref_pairs) != n:
+        raise ShapeMismatchError(f"{n} estimated channels vs {len(ref_pairs)} references")
     total = 0.0
     grads = []
     parents = []
     for (er, ei), (rr, ri) in zip(est_pairs, ref_pairs):
-        if er.data.shape != rr.shape:
-            raise ShapeMismatchError(f"est {er.data.shape} vs ref {rr.shape}")
+        if not er.data.shape == ei.data.shape == rr.shape == ri.shape:
+            raise ShapeMismatchError(f"est {er.data.shape}/{ei.data.shape} vs ref "
+                                     f"{rr.shape}/{ri.shape}")
         norm = n * er.data.size
         s, gr, gi = _cmse_channel(er.data, ei.data, rr, ri, cfg)
         total += s / norm

@@ -1,15 +1,18 @@
 """Layer zoo against naive oracles: loop convolutions, hand-unrolled LSTM
 gates, two-pass normalization statistics, finite differences."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbse import autodiff as ad
-from fbse import gradcheck, layers
+from fbse import gradcheck, layers, model, training
 from fbse.autodiff import Tensor
-from fbse.errors import ShapeMismatchError
+from fbse.errors import CheckpointError, ShapeMismatchError
 from fbse.params import CHECKPOINT_MAGIC, ParamStore
 
 
@@ -359,3 +362,159 @@ class TestCheckpoint:
             bad.write_bytes(CHECKPOINT_MAGIC + len(text).to_bytes(8, "little") + text + blob)
             with pytest.raises(CheckpointError):
                 store.load(bad)
+
+    def test_save_load_save_byte_identical(self, tmp_path):
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        model.Enhancer(model.ModelConfig.tiny(), seed=5).store.save(first)
+        other = model.Enhancer(model.ModelConfig.tiny(), seed=5)
+        for t in other.store.params.values():
+            t.data[...] = 0.0
+        for a in other.store.buffers.values():
+            a[...] = 0.0
+        other.store.load(first)
+        other.store.save(second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_tiny_checkpoint_layout_pinned(self, tmp_path):
+        # names, shapes and order of every tensor, and the whole seed-0 file,
+        # as written before the gated pairs were stacked
+        store = model.Enhancer(model.ModelConfig.tiny(), seed=0).store
+        table = [[n, list(t.data.shape)] for n, t in store.params.items()]
+        table += [[n, list(a.shape)] for n, a in store.buffers.items()]
+        assert len(table) == 218
+        digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()
+        assert digest == "a4040ccffa67e8ad10d48aca67ee66338bed462acc52b92c9c014131cb73cf78"
+        path = tmp_path / "tiny.ckpt"
+        store.save(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "ef8a180239e2da19abf3af385bffbe6989f2818c48898b06d83238f12f804604"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+_ENTRY_KEYS = ("name", "kind", "shape", "dtype", "offset", "nbytes")
+
+
+@st.composite
+def _checkpoint_headers(draw, header):
+    """Any JSON value, or the real header with fuzzed fields and entries."""
+    if draw(st.booleans()):
+        return draw(_JSON)
+    names = [e["name"] for e in header["tensors"]]
+    h = json.loads(json.dumps(header))
+    for key in draw(st.lists(st.sampled_from(["version", "seed", "dtype", "tensors"]),
+                             max_size=2)):
+        h[key] = draw(_JSON)
+    if isinstance(h.get("tensors"), list):
+        for e in h["tensors"]:
+            if isinstance(e, dict):
+                for key in draw(st.lists(st.sampled_from(_ENTRY_KEYS), max_size=2)):
+                    e[key] = draw(_JSON | st.sampled_from(names) | st.sampled_from(
+                        ["<f8", "<f4", "<i2", "|u1", ">f8", "<c16", "|b1", "V8", "O"]))
+    return h
+
+
+class TestCheckpointHeaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_json_header_loads_or_raises_checkpoint_error(self, tmp_path_factory, data):
+        store = ParamStore(0)
+        layers.GatedConvTranspose2d(store, "gd", 2, 2, kernel=(2, 3), stride=2)
+        layers.InstanceNorm(store, "n", 2)
+        path = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
+        store.save(path)
+        raw = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 8
+        hlen = int.from_bytes(raw[len(CHECKPOINT_MAGIC) : start], "little")
+        header, blob = json.loads(raw[start : start + hlen]), raw[start + hlen :]
+        text = json.dumps(data.draw(_checkpoint_headers(header))).encode()
+        path.write_bytes(CHECKPOINT_MAGIC + len(text).to_bytes(8, "little") + text + blob)
+        try:
+            store.load(path)
+        except CheckpointError:
+            pass
+
+
+def _gated_layers(obj, seen=None):
+    """Every gated layer and gated TCN block reachable from ``obj``."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (np.ndarray, Tensor, ParamStore)):
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, (layers._Gated, model.GatedTcnBlock)):
+        return [obj]
+    children = obj if isinstance(obj, (list, tuple)) else getattr(obj, "__dict__", {}).values()
+    return [g for child in children for g in _gated_layers(child, seen)]
+
+
+def _halves_and_pair(layer):
+    if isinstance(layer, model.GatedTcnBlock):
+        return layer.dil_lin, layer.dil_gate, layer.dil
+    return layer.lin, layer.gate, layer.pair
+
+
+def _assert_pair_tied(layer):
+    lin, gate, pair = _halves_and_pair(layer)
+    c = lin.cout
+    for half, rows in ((lin, slice(None, c)), (gate, slice(c, None))):
+        assert np.shares_memory(half.w.data, pair.w.data)
+        assert np.shares_memory(half.b.data, pair.b.data)
+        assert np.array_equal(pair.w.data[rows], half.w.data)
+        assert np.array_equal(pair.b.data[rows], half.b.data)
+
+
+def _assert_step_equals_call(layer, rng, freq=7, frames=6):
+    if isinstance(layer, model.GatedTcnBlock):
+        x = rng.standard_normal((layer.pw_in.cin, frames))
+        state = layer.init_state(np.float64)
+    else:
+        x = rng.standard_normal((layer.lin.cin, frames, freq))
+        state = layer.init_state(freq)
+    stepped = np.stack([layer.step(state, x[:, t]) for t in range(frames)], axis=1)
+    np.testing.assert_allclose(stepped, layer(Tensor(x)).data, atol=1e-12)
+
+
+class TestStackedGatedPairs:
+    """lin/gate tensors are views of their pair's stacked arrays, and stay so."""
+
+    def test_deconv_weight_stored_in_step_order(self):
+        layer = layers.GatedConvTranspose2d(ParamStore(0), "d", 3, 2, kernel=(2, 3), stride=2)
+        for conv in (layer.lin, layer.gate, layer.pair):
+            assert conv.w.data.transpose(0, 3, 1, 2).flags.c_contiguous
+        assert layer.pair.w.data.shape == (4, 3, 2, 3)
+
+    def test_views_survive_load_adam_and_zero_stage(self, tmp_path):
+        rng = np.random.default_rng(0)
+        m = model.Enhancer(model.ModelConfig.tiny(), seed=0)
+        gated = _gated_layers(m)
+        assert len(gated) == 14
+
+        def check():
+            for layer in gated:
+                _assert_pair_tied(layer)
+                _assert_step_equals_call(layer, rng)
+
+        check()
+        path = tmp_path / "other.ckpt"
+        model.Enhancer(model.ModelConfig.tiny(), seed=1).store.save(path)
+        before = [_halves_and_pair(g)[2].w.data.copy() for g in gated]
+        m.store.load(path)
+        assert all(not np.array_equal(_halves_and_pair(g)[2].w.data, b)
+                   for g, b in zip(gated, before))
+        check()
+
+        for p in m.store.params.values():
+            p.grad = rng.standard_normal(p.data.shape)
+        before = [_halves_and_pair(g)[2].w.data.copy() for g in gated]
+        training.adam_step(m.store.params, training.AdamState(), lr=1e-2)
+        assert all(not np.array_equal(_halves_and_pair(g)[2].w.data, b)
+                   for g, b in zip(gated, before))
+        check()
+
+        m.zero_stage("stage2")
+        zeroed = _gated_layers(m.comp)
+        assert zeroed and all(not _halves_and_pair(g)[2].w.data.any() for g in zeroed)
+        check()

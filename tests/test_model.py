@@ -6,7 +6,7 @@ import pytest
 
 from fbse import dsp, layers, model
 from fbse.autodiff import Tensor
-from fbse.errors import ConfigError, ShapeMismatchError
+from fbse.errors import ConfigError, NonFiniteInputError, ShapeMismatchError
 from fbse.layers import Conv1d
 from fbse.params import ParamStore
 
@@ -274,6 +274,15 @@ class TestForward:
         changed = np.nonzero(y0 != y1)[0]
         assert changed.size > 0
         assert changed[0] >= s - dsp.LATENCY_SAMPLES_48K
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_input_rejected_before_any_work(self, tiny, monkeypatch, bad):
+        x = rand_audio(48000, seed=12)
+        x.samples[4800] = bad
+        monkeypatch.setattr(dsp, "extract", lambda *a: pytest.fail("analysis ran on bad input"))
+        for run in (tiny.forward, tiny.stage1_forward):
+            with pytest.raises(NonFiniteInputError):
+                run(x)
 
     def test_checkpoint_round_trip_through_forward(self, tmp_path, tiny):
         path = tmp_path / "m.ckpt"

@@ -279,7 +279,7 @@ class TestStateBookkeeping:
                 # 2-D convs cache (kernel_t - 1) frames: 1 for main/refiner, 0 for 1x1 out
                 assert arr.ndim == 3 and arr.shape[1] in (0, 1), path
                 seen_2d += 1
-        assert seen_mag_tcn == 2 * n_blocks
+        assert seen_mag_tcn == n_blocks  # one cache per stacked lin/gate pair
         assert seen_band_tcn == cfg.band_tcn.bands * cfg.band_tcn.blocks_per_band
 
     def test_caches_never_grow(self, tiny_model):

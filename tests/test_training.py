@@ -85,6 +85,23 @@ class TestCmseLoss:
         with pytest.raises(ShapeMismatchError):
             cmse(est, ref)
 
+    def test_pair_count_mismatch(self):
+        est = rand_pairs(4)
+        with pytest.raises(ShapeMismatchError):
+            cmse(est, rand_pairs(5)[:2])
+        with pytest.raises(ShapeMismatchError):
+            cmse(est[:2], rand_pairs(5))
+
+    def test_imag_shape_error(self):
+        est = rand_pairs(4, frames=3)
+        ref = rand_pairs(5, frames=3)
+        ref[1] = (ref[1][0], ref[1][1][:2])
+        with pytest.raises(ShapeMismatchError):
+            cmse(est, ref)
+        est[2] = (est[2][0], est[2][1][:, :160])
+        with pytest.raises(ShapeMismatchError):
+            cmse(est, rand_pairs(5, frames=3))
+
     def test_decompress_op_gradient(self):
         rng = np.random.default_rng(7)
         r = Tensor(rng.uniform(0.3, 1.0, (3, 4)), requires_grad=True)
