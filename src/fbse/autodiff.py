@@ -10,7 +10,6 @@ their nodes with :func:`make_node` and live in :mod:`fbse.layers`.
 import contextlib
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ShapeMismatchError, StaleGraphError
 
@@ -71,9 +70,6 @@ class Tensor:
         self._parents = ()
         self._backward_fn = None
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
-
 
 def _toposort(root):
     order, visited, stack = [], set(), [(root, False)]
@@ -92,9 +88,14 @@ def _toposort(root):
     return order
 
 
+def recording(parents) -> bool:
+    """Whether an op over ``parents`` goes on the tape."""
+    return _grad_enabled[-1] and any(p.requires_grad or p._parents for p in parents)
+
+
 def make_node(data, parents, backward_fn) -> Tensor:
     """Wrap an op result; drops the closure when no parent needs gradients."""
-    if _grad_enabled[-1] and any(p.requires_grad or p._parents for p in parents):
+    if recording(parents):
         out = Tensor(data, requires_grad=True)
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -138,8 +139,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return make_node(a_data * b_data, (a, b), bw)
 
 
+def logistic(x, out=None):
+    """Sigmoid of an array as ``0.5*tanh(0.5*x) + 0.5``, in one buffer
+    (``out`` may be ``x``): no overflow for any finite or infinite input."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    y = expit(x.data)
+    y = logistic(x.data)
 
     def bw(g):
         x.accumulate_grad(g * y * (1.0 - y))
@@ -171,16 +182,17 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
     return make_node(y, (x, alpha), bw)
 
 
-def concat(parts, axis=0) -> Tensor:
-    datas = [p.data for p in parts]
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
+def concat(parts, axis=0, data=None) -> Tensor:
+    """``parts`` joined along ``axis``; pass ``data`` if the parts are views of it."""
+    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def bw(g):
         for p, piece in zip(parts, np.split(g, splits, axis=axis)):
             p.accumulate_grad(piece)
 
-    return make_node(np.concatenate(datas, axis=axis), tuple(parts), bw)
+    if data is None:
+        data = np.concatenate([p.data for p in parts], axis=axis)
+    return make_node(data, tuple(parts), bw)
 
 
 def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:

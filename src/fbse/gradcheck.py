@@ -57,71 +57,27 @@ def _probe_scalar(out, probe):
     return ad.sum_all(ad.mul(out, Tensor(probe)))
 
 
-def check_conv1d(seed):
-    rng = np.random.default_rng(seed)
-    store = ParamStore(seed)
-    layer = layers.Conv1d(store, "conv", cin=3, cout=4, kernel=3, dilation=2)
-    x = Tensor(rng.standard_normal((3, 9)), requires_grad=True)
-    probe = rng.standard_normal((4, 9))
-    err, ok = fd_compare(lambda: _probe_scalar(layer(x), probe),
-                         [layer.w, layer.b, x])
-    return CheckResult("conv1d", seed, err, ok)
+def _layer_check(name, build, in_shape, params, **call):
+    """FD check of ``build(store)`` on a random ``in_shape`` input: its
+    ``params(layer)`` tensors and the input, through a random output probe."""
+
+    def check(seed):
+        rng = np.random.default_rng(seed)
+        layer = build(ParamStore(seed))
+        x = Tensor(rng.standard_normal(in_shape), requires_grad=True)
+        probe = rng.standard_normal(layer(x, **call).data.shape)
+        err, ok = fd_compare(lambda: _probe_scalar(layer(x, **call), probe), [*params(layer), x])
+        return CheckResult(name, seed, err, ok)
+
+    return check
 
 
-def check_pointwise(seed):
-    rng = np.random.default_rng(seed)
-    store = ParamStore(seed)
-    layer = layers.Conv1d(store, "pw", cin=5, cout=3, kernel=1)
-    x = Tensor(rng.standard_normal((5, 7)), requires_grad=True)
-    probe = rng.standard_normal((3, 7))
-    err, ok = fd_compare(lambda: _probe_scalar(layer(x), probe),
-                         [layer.w, layer.b, x])
-    return CheckResult("pointwise", seed, err, ok)
+def _wb(layer):
+    return [layer.w, layer.b]
 
 
-def check_gconv2d(seed):
-    rng = np.random.default_rng(seed)
-    store = ParamStore(seed)
-    layer = layers.GatedConv2d(store, "gc", cin=2, cout=3, kernel=(2, 3), stride=2)
-    x = Tensor(rng.standard_normal((2, 4, 9)), requires_grad=True)
-    probe = rng.standard_normal((3, 4, layer.out_freq(9)))
-    tensors = [layer.lin.w, layer.lin.b, layer.gate.w, layer.gate.b, x]
-    err, ok = fd_compare(lambda: _probe_scalar(layer(x), probe), tensors)
-    return CheckResult("gconv2d", seed, err, ok)
-
-
-def check_gdeconv2d(seed):
-    rng = np.random.default_rng(seed)
-    store = ParamStore(seed)
-    layer = layers.GatedConvTranspose2d(store, "gd", cin=3, cout=2, kernel=(2, 3),
-                                        stride=2, out_freq=9)
-    x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
-    probe = rng.standard_normal((2, 4, 9))
-    tensors = [layer.lin.w, layer.lin.b, layer.gate.w, layer.gate.b, x]
-    err, ok = fd_compare(lambda: _probe_scalar(layer(x), probe), tensors)
-    return CheckResult("gdeconv2d", seed, err, ok)
-
-
-def check_instance_norm(seed):
-    rng = np.random.default_rng(seed)
-    store = ParamStore(seed)
-    layer = layers.InstanceNorm(store, "in", channels=3)
-    x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
-    probe = rng.standard_normal((3, 4, 5))
-    err, ok = fd_compare(lambda: _probe_scalar(layer(x, training=True), probe),
-                         [layer.gamma, layer.beta, x])
-    return CheckResult("instance_norm", seed, err, ok)
-
-
-def check_lstm(seed):
-    rng = np.random.default_rng(seed)
-    store = ParamStore(seed)
-    layer = layers.Lstm(store, "lstm", din=3, hidden=4, layers=2)
-    x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-    probe = rng.standard_normal((5, 4))
-    tensors = [*layer.ws, *layer.bs, x]
-    err, ok = fd_compare(lambda: _probe_scalar(layer(x), probe), tensors)
-    return CheckResult("lstm", seed, err, ok)
+def _gated(layer):
+    return [layer.lin.w, layer.lin.b, layer.gate.w, layer.gate.b]
 
 
 def check_cmse_loss(seed):
@@ -141,12 +97,24 @@ def check_cmse_loss(seed):
 
 
 LAYER_CHECKS = {
-    "conv1d": check_conv1d,
-    "gconv2d": check_gconv2d,
-    "gdeconv2d": check_gdeconv2d,
-    "instance_norm": check_instance_norm,
-    "lstm": check_lstm,
-    "pointwise": check_pointwise,
+    "conv1d": _layer_check("conv1d", lambda s: layers.Conv1d(s, "conv", 3, 4, 3, 2), (3, 9), _wb),
+    "gconv2d": _layer_check("gconv2d", lambda s: layers.GatedConv2d(s, "gc", 2, 3, (2, 3), 2),
+                            (2, 4, 9), _gated),
+    "gconv2d_k5": _layer_check(
+        "gconv2d_k5", lambda s: layers.GatedConv2d(s, "gc", 2, 3, (2, 5), 2), (2, 4, 11), _gated),
+    "gdeconv2d": _layer_check(
+        "gdeconv2d", lambda s: layers.GatedConvTranspose2d(s, "gd", 3, 2, (2, 3), 2, out_freq=9),
+        (3, 4, 5), _gated),
+    # out_freq 8 trims the natural 9 bins
+    "gdeconv2d_trim": _layer_check(
+        "gdeconv2d_trim",
+        lambda s: layers.GatedConvTranspose2d(s, "gd", 3, 2, (2, 3), 2, out_freq=8), (3, 4, 5),
+        _gated),
+    "instance_norm": _layer_check("instance_norm", lambda s: layers.InstanceNorm(s, "in", 3),
+                                  (3, 4, 5), lambda n: [n.gamma, n.beta], training=True),
+    "lstm": _layer_check("lstm", lambda s: layers.Lstm(s, "lstm", 3, 4, 2), (5, 3),
+                         lambda l: [*l.ws, *l.bs]),
+    "pointwise": _layer_check("pointwise", lambda s: layers.Conv1d(s, "pw", 5, 3, 1), (5, 7), _wb),
     "cmse_loss": check_cmse_loss,
 }
 

@@ -1,45 +1,40 @@
 """Layer zoo: dilated causal 1-D conv, gated 2-D conv/deconv, instance norm,
 multi-layer LSTM, linear, PReLU, per-channel affine.
 
-Every layer offers two execution paths backed by the same kernel math:
+Every layer has a whole-sequence ``__call__(Tensor) -> Tensor`` that records
+the reverse-mode tape (see :mod:`fbse.autodiff`), and ``init_state()`` /
+``step(state, frame)`` on plain arrays for the streaming runtime. Causal
+layers cache exactly ``(kernel-1)*dilation`` past frames.
 
-* ``__call__(Tensor) -> Tensor`` — whole-sequence forward that records the
-  reverse-mode tape (see :mod:`fbse.autodiff`);
-* ``init_state()`` / ``step(state, frame)`` — stateful one-frame-at-a-time
-  forward on plain arrays for the streaming runtime. Causal layers cache
-  exactly ``(kernel-1)*dilation`` past frames.
+A 2-D conv layer has one chunk kernel ``(x [Cin,T,F], cache [Cin,Kt-1,F]) ->
+(y, cache)``: a GEMM of the ``[Cout, Cin*Kt*Kf]`` weight with im2col columns
+(``conv2d_chunk``), or of the ``[Cout*Kf, Cin*Kt]`` weight with time-reversed
+windows and then ``Kf`` strided adds (``conv_transpose2d_chunk``), once per
+block of ``TIME_BLOCK`` frames, so the columns stay a few MB at any length.
+The whole-sequence forward is the chunk from a zero cache, ``chunk(state, x)``
+continues a stream and ``step`` is its T=1 case; the tape's backward runs the
+transposed GEMMs over the same blocks, then col2im. ``ConvTranspose2d``
+stores its weight in step order ``[Cout, Kf, Cin, Kt]`` behind the logical
+``[Cout, Cin, Kt, Kf]`` view, so its matrix is a free reshape.
 
-Each conv ``step`` is one BLAS call on a view of ``w.data``: a GEMV over the
-flattened dilated window (``Conv1d``), a GEMM over im2col columns
-(``Conv2d``), a GEMM of the ``[Cout*Kf, Cin*Kt]`` weight with the
-time-reversed window followed by ``Kf`` strided adds (``ConvTranspose2d``);
-each LSTM layer is one GEMV over ``[x; h]``. ``ConvTranspose2d`` stores its
-weight in step order ``[Cout, Kf, Cin, Kt]`` and registers the logical
-``[Cout, Cin, Kt, Kf]`` view, so that matrix is a free reshape.
-
-A gated pair (``GatedConv2d``, ``GatedConvTranspose2d`` and the dilated pair
-of the magnitude TCN) owns one stacked weight and one stacked bias of height
-``2*Cout``. Its ``lin`` and ``gate`` tensors, registered in the store under
-their own names, shapes and seeded init, are views of rows ``[:Cout]`` and
-``[Cout:]``; an unregistered layer with ``2*Cout`` outputs over the stacked
-arrays runs the pair's ``step`` as one call with one cache. No copy of a
-weight is cached anywhere, because checkpoint loading, stage zeroing and the
-optimizer all update ``w.data`` in place, through the views.
+:func:`stacked` layers (gated pairs, the mask-head planes) own one weight and
+bias whose row blocks are the parts' registered tensors. An unregistered
+layer over the stacked arrays runs them as one op, step and cache, and
+:func:`stacked_op` splits its gradients back into the parts. No weight copy
+is cached: loading, stage zeroing and the optimizer write ``w.data`` in place.
 
 Feature layouts: 1-D ``[C, T]``, 2-D ``[C, T, F]``, recurrent ``[T, D]``.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
+from numpy.lib.stride_tricks import as_strided
 
-from .autodiff import Tensor, make_node
+from . import autodiff as ad
+from .autodiff import Tensor, logistic, make_node
 from .errors import ShapeMismatchError
 from .params import ParamStore
 
-
-def _sigmoid(x):
-    return expit(x)
+TIME_BLOCK = 32  # frames per im2col block of the 2-D conv kernels
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +86,17 @@ class Conv1d:
         self.w = store.add(f"{name}.weight", (cout, cin, kernel), fan_in=cin * kernel, out=out[0])
         self.b = store.add(f"{name}.bias", (cout,), zero=True, out=out[1])
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv1d_op(x, self.w, self.b, self.dilation)
+    def op(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        return conv1d_op(x, w, b, self.dilation)
 
-    @property
-    def cache_frames(self):
-        return (self.kernel - 1) * self.dilation
+    def __call__(self, x: Tensor) -> Tensor:
+        return self.op(x, self.w, self.b)
 
     def init_state(self, dtype=np.float64):
-        return {"cache": np.zeros((self.cin, self.cache_frames), dtype=dtype)}
+        return {"cache": np.zeros((self.cin, (self.kernel - 1) * self.dilation), dtype=dtype)}
 
     def step(self, state, frame):
-        if self.cache_frames == 0:
+        if self.kernel == 1:
             return self.w.data[:, :, 0] @ frame + self.b.data
         win = np.concatenate([state["cache"], frame[:, None]], axis=1)
         taps = win[:, :: self.dilation].ravel()  # [Cin*K], same order as the weight rows
@@ -123,40 +117,70 @@ class Conv1d:
 # 2-D convolution: causal in time, strided/padded along frequency
 
 
-def conv2d_forward(x, w, b, stride, pad):
-    """x [Cin,T,F], w [Cout,Cin,Kt,Kf] -> y [Cout,T,Fo]."""
-    cout, cin, kt, kf = w.shape
+def _time_blocks(t):
+    for t0 in range(0, t, TIME_BLOCK):
+        yield t0, min(TIME_BLOCK, t - t0)
+
+
+def _conv2d_cols(xp, t0, n, kt, kf, stride):
+    """im2col of output frames ``t0 .. t0+n-1``: ``[Cin*Kt*Kf, n*Fo]``, row
+    ``(c, i, j)`` and column ``(b, o)`` holding ``xp[c, t0+b+i, stride*o+j]``."""
+    cin, _, fp = xp.shape
+    fo = (fp - kf) // stride + 1
+    sc, st, sf = xp.strides
+    taps = as_strided(xp[:, t0:], (cin, kt, kf, n, fo), (sc, st, sf, st, stride * sf),
+                      writeable=False)
+    return taps.reshape(-1, n * fo)
+
+
+def conv2d_chunk(x, cache, w, b, stride, pad):
+    """x [Cin,T,F] following ``cache`` [Cin,Kt-1,F], w [Cout,Cin,Kt,Kf]
+    -> (y [Cout,T,Fo], next cache): one GEMM per time block."""
+    cout, _, kt, kf = w.shape
     t, f = x.shape[1], x.shape[2]
     fo = (f + 2 * pad - kf) // stride + 1
-    xp = np.pad(x, ((0, 0), (kt - 1, 0), (pad, pad)))
-    y = np.zeros((cout, t, fo), dtype=x.dtype)
-    for i in range(kt):
-        for j in range(kf):
-            xs = xp[:, i : i + t, j : j + stride * (fo - 1) + 1 : stride]
-            y += np.tensordot(w[:, :, i, j], xs, axes=(1, 0))
-    y += b[:, None, None]
-    return y, xp, fo
+    xp = np.zeros((x.shape[0], kt - 1 + t, f + 2 * pad), dtype=x.dtype)  # [cache; x], padded
+    xp[:, : kt - 1, pad : pad + f] = cache
+    xp[:, kt - 1 :, pad : pad + f] = x
+    wmat = w.reshape(cout, -1)
+    y = np.empty((cout, t * fo), dtype=x.dtype)
+    for t0, n in _time_blocks(t):
+        yb = y[:, t0 * fo : (t0 + n) * fo]
+        np.matmul(wmat, _conv2d_cols(xp, t0, n, kt, kf, stride), out=yb)
+        yb += b[:, None]
+    return y.reshape(cout, t, fo), xp[:, t:, pad : pad + f]
+
+
+def conv2d_forward(x, w, b, stride, pad):
+    """:func:`conv2d_chunk` from a zero cache."""
+    cache = np.zeros((x.shape[0], w.shape[2] - 1, x.shape[2]), dtype=x.dtype)
+    return conv2d_chunk(x, cache, w, b, stride, pad)
 
 
 def conv2d_op(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
     if x.data.shape[0] != w.data.shape[1]:
         raise ShapeMismatchError(
             f"conv2d: input channels {x.data.shape[0]} != weight {w.data.shape[1]}")
-    y, xp, fo = conv2d_forward(x.data, w.data, b.data, stride, pad)
-    wd = w.data
-    _, _, kt, kf = wd.shape
-    t, f = x.data.shape[1], x.data.shape[2]
+    y = conv2d_forward(x.data, w.data, b.data, stride, pad)[0]
+    xd, wd = x.data, w.data
 
     def bw(g):
+        # transposed GEMMs over the same blocks (columns recomputed), then col2im
+        cout, cin, kt, kf = wd.shape
+        t, f = xd.shape[1], xd.shape[2]
+        fo = g.shape[2]
+        xp = np.pad(xd, ((0, 0), (kt - 1, 0), (pad, pad)))
+        wmat = wd.reshape(cout, -1)
+        gm = g.reshape(cout, -1)
+        dw = np.zeros_like(wmat)
         dxp = np.zeros_like(xp)
-        dw = np.zeros_like(wd)
-        for i in range(kt):
-            for j in range(kf):
-                fsl = slice(j, j + stride * (fo - 1) + 1, stride)
-                xs = xp[:, i : i + t, fsl]
-                dw[:, :, i, j] = np.tensordot(g, xs, axes=([1, 2], [1, 2]))
-                dxp[:, i : i + t, fsl] += np.tensordot(wd[:, :, i, j].T, g, axes=(1, 0))
-        w.accumulate_grad(dw)
+        for t0, n in _time_blocks(t):
+            gb = gm[:, t0 * fo : (t0 + n) * fo]
+            dw += gb @ _conv2d_cols(xp, t0, n, kt, kf, stride).T
+            dcols = (wmat.T @ gb).reshape(cin, kt, kf, n, fo)
+            for i, j in np.ndindex(kt, kf):
+                dxp[:, t0 + i : t0 + i + n, j : j + stride * fo : stride] += dcols[:, i, j]
+        w.accumulate_grad(dw.reshape(wd.shape))
         b.accumulate_grad(g.sum(axis=(1, 2)))
         x.accumulate_grad(dxp[:, kt - 1 :, pad : pad + f])
 
@@ -172,41 +196,30 @@ class Conv2d:
         self.kt, self.kf = kernel
         self.stride = stride
         self.pad = (self.kf - 1) // 2 if pad is None else pad
-        fan_in = cin * self.kt * self.kf
-        self.w = store.add(f"{name}.weight", (cout, cin, self.kt, self.kf), fan_in=fan_in,
+        self.w = store.add(f"{name}.weight", (cout, cin, *kernel), fan_in=cin * self.kt * self.kf,
                            out=out[0])
         self.b = store.add(f"{name}.bias", (cout,), zero=True, out=out[1])
 
     def out_freq(self, f):
         return (f + 2 * self.pad - self.kf) // self.stride + 1
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv2d_op(x, self.w, self.b, self.stride, self.pad)
+    def op(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        return conv2d_op(x, w, b, self.stride, self.pad)
 
-    @property
-    def cache_frames(self):
-        return self.kt - 1
+    def __call__(self, x: Tensor) -> Tensor:
+        return self.op(x, self.w, self.b)
 
     def init_state(self, freq, dtype=np.float64):
-        return {"cache": np.zeros((self.cin, self.cache_frames, freq), dtype=dtype)}
+        return {"cache": np.zeros((self.cin, self.kt - 1, freq), dtype=dtype)}
 
-    def step(self, state, frame):
-        f = frame.shape[1]
-        fo = self.out_freq(f)
-        p = self.pad
-        win = np.zeros((self.cin, self.kt, f + 2 * p), dtype=frame.dtype)  # [Cin,Kt,F+2*pad]
-        win[:, :-1, p : p + f] = state["cache"]
-        win[:, -1, p : p + f] = frame
-        taps = sliding_window_view(win, self.kf, axis=2)[:, :, :: self.stride]  # [Cin,Kt,Fo,Kf]
-        cols = taps.transpose(0, 1, 3, 2).reshape(-1, fo)  # im2col [Cin*Kt*Kf, Fo]
-        y = self.w.data.reshape(self.cout, -1) @ cols + self.b.data[:, None]
-        if self.cache_frames:
-            state["cache"] = win[:, 1:, p : p + f]
+    def chunk(self, state, x):
+        """[Cin,T,F] frames that follow those already seen -> [Cout,T,Fo]."""
+        y, state["cache"] = conv2d_chunk(x, state["cache"], self.w.data, self.b.data,
+                                         self.stride, self.pad)
         return y
 
-    @property
-    def param_count(self):
-        return self.w.data.size + self.b.data.size
+    def step(self, state, frame):
+        return self.chunk(state, frame[:, None])[:, 0]
 
     def macs_per_frame(self, in_freq):
         return self.cin * self.cout * self.kt * self.kf * self.out_freq(in_freq)
@@ -216,44 +229,80 @@ class Conv2d:
 # transposed 2-D convolution (frequency upsampling), causal in time
 
 
-def conv_transpose2d_forward(x, w, b, stride, pad, out_freq):
-    cout, cin, kt, kf = w.shape
+def _deconv_cols(xp, t0, n, kt):
+    """Time-reversed windows of output frames ``t0 .. t0+n-1``: ``[Cin*Kt, n*F]``,
+    row ``(c, i)`` and column ``(b, f)`` holding ``xp[c, t0+b+Kt-1-i, f]``."""
+    cin, _, f = xp.shape
+    sc, st, sf = xp.strides
+    taps = as_strided(xp[:, t0 + kt - 1 :], (cin, kt, n, f), (sc, -st, st, sf), writeable=False)
+    return taps.reshape(-1, n * f)
+
+
+def _deconv_scatter(f, kf, stride, pad, out_freq):
+    """Per frequency tap ``j``: the output bins ``stride*f + j - pad`` that land
+    in ``[0, out_freq)``, and the input bins ``f`` they come from."""
+    taps = []
+    for j in range(kf):
+        f0 = max(0, -((j - pad) // stride))
+        f1 = min(f, (out_freq - 1 + pad - j) // stride + 1)
+        if f1 > f0:
+            q0 = stride * f0 + j - pad
+            taps.append((j, slice(q0, q0 + stride * (f1 - f0 - 1) + 1, stride), slice(f0, f1)))
+    return taps
+
+
+def conv_transpose2d_chunk(x, cache, w, b, stride, pad, out_freq):
+    """x [Cin,T,F] following ``cache`` [Cin,Kt-1,F] -> (y [Cout,T,out_freq], next
+    cache): per time block, one GEMM, then tap ``j`` of input bin ``f`` is added
+    to output bin ``stride*f + j - pad``. Bins past the span hold the bias only."""
+    cout, _, kt, kf = w.shape
     t, f = x.shape[1], x.shape[2]
-    span = stride * (f - 1) + kf
-    buf = np.zeros((cout, t, span), dtype=x.dtype)
-    for i in range(kt):
-        for j in range(kf):
-            contrib = np.tensordot(w[:, :, i, j], x, axes=(1, 0))  # [Cout,T,F]
-            buf[:, i:, j : j + stride * (f - 1) + 1 : stride] += contrib[:, : t - i]
-    take = min(out_freq, span - pad)
-    y = np.zeros((cout, t, out_freq), dtype=x.dtype)
-    y[:, :, :take] = buf[:, :, pad : pad + take]
-    y += b[:, None, None]
-    return y, span, take
+    xp = np.concatenate([cache, x], axis=1)
+    wmat = w.transpose(0, 3, 1, 2).reshape(cout * kf, -1)  # free in step order
+    scatter = _deconv_scatter(f, kf, stride, pad, out_freq)
+    y = np.empty((cout, t, out_freq), dtype=x.dtype)
+    y[...] = b[:, None, None]
+    for t0, n in _time_blocks(t):
+        contrib = (wmat @ _deconv_cols(xp, t0, n, kt)).reshape(cout, kf, n, f)
+        for j, out_bins, in_bins in scatter:
+            y[:, t0 : t0 + n, out_bins] += contrib[:, j, :, in_bins]
+    return y, xp[:, t:]
+
+
+def conv_transpose2d_forward(x, w, b, stride, pad, out_freq):
+    """:func:`conv_transpose2d_chunk` from a zero cache."""
+    cache = np.zeros((x.shape[0], w.shape[2] - 1, x.shape[2]), dtype=x.dtype)
+    return conv_transpose2d_chunk(x, cache, w, b, stride, pad, out_freq)
 
 
 def conv_transpose2d_op(x: Tensor, w: Tensor, b: Tensor, stride, pad, out_freq) -> Tensor:
     if x.data.shape[0] != w.data.shape[1]:
         raise ShapeMismatchError(
             f"deconv2d: input channels {x.data.shape[0]} != weight {w.data.shape[1]}")
-    y, span, take = conv_transpose2d_forward(x.data, w.data, b.data, stride, pad, out_freq)
+    y = conv_transpose2d_forward(x.data, w.data, b.data, stride, pad, out_freq)[0]
     xd, wd = x.data, w.data
-    _, _, kt, kf = wd.shape
-    t, f = xd.shape[1], xd.shape[2]
 
     def bw(g):
-        gspan = np.zeros((g.shape[0], t, span), dtype=g.dtype)
-        gspan[:, :, pad : pad + take] = g[:, :, :take]
-        dx = np.zeros_like(xd)
-        dw = np.zeros_like(wd)
-        for i in range(kt):
-            for j in range(kf):
-                gs = gspan[:, i:, j : j + stride * (f - 1) + 1 : stride]  # [Cout,T-i,F]
-                dw[:, :, i, j] = np.tensordot(gs, xd[:, : t - i], axes=([1, 2], [1, 2]))
-                dx[:, : t - i] += np.tensordot(wd[:, :, i, j].T, gs, axes=(1, 0))
-        w.accumulate_grad(dw)
+        # per block: gather g per frequency tap, transposed GEMMs, col2im over time
+        cout, cin, kt, kf = wd.shape
+        t, f = xd.shape[1], xd.shape[2]
+        xp = np.pad(xd, ((0, 0), (kt - 1, 0), (0, 0)))
+        wmat = wd.transpose(0, 3, 1, 2).reshape(cout * kf, -1)
+        scatter = _deconv_scatter(f, kf, stride, pad, out_freq)
+        dw = np.zeros(wmat.shape, dtype=wd.dtype)
+        dxp = np.zeros_like(xp)
+        for t0, n in _time_blocks(t):
+            gcols = np.zeros((cout, kf, n, f), dtype=g.dtype)
+            for j, out_bins, in_bins in scatter:
+                gcols[:, j, :, in_bins] = g[:, t0 : t0 + n, out_bins]
+            gcols = gcols.reshape(cout * kf, -1)
+            dw += gcols @ _deconv_cols(xp, t0, n, kt).T
+            dcols = (wmat.T @ gcols).reshape(cin, kt, n, f)
+            for i in range(kt):
+                dxp[:, t0 + kt - 1 - i : t0 + kt - 1 - i + n] += dcols[:, i]
+        w.accumulate_grad(dw.reshape(cout, kf, cin, kt).transpose(0, 2, 3, 1))
         b.accumulate_grad(g.sum(axis=(1, 2)))
-        x.accumulate_grad(dx)
+        x.accumulate_grad(dxp[:, kt - 1 :])
 
     return make_node(y, (x, w, b), bw)
 
@@ -270,62 +319,46 @@ class ConvTranspose2d:
         self.stride = stride
         self.pad = (self.kf - 1) // 2 if pad is None else pad
         self.out_freq = out_freq
-        fan_in = cin * self.kt * self.kf
         w = out[0]
         if w is None:  # stored in step order [Cout, Kf, Cin, Kt], viewed as [Cout, Cin, Kt, Kf]
             w = np.empty((cout, self.kf, cin, self.kt), dtype=store.dtype).transpose(0, 2, 3, 1)
-        self.w = store.add(f"{name}.weight", (cout, cin, self.kt, self.kf), fan_in=fan_in, out=w)
+        self.w = store.add(f"{name}.weight", (cout, cin, *kernel), fan_in=cin * self.kt * self.kf,
+                           out=w)
         self.b = store.add(f"{name}.bias", (cout,), zero=True, out=out[1])
 
     def natural_out_freq(self, f):
         return self.stride * (f - 1) + self.kf - 2 * self.pad
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def op(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         out_freq = self.out_freq or self.natural_out_freq(x.data.shape[2])
-        return conv_transpose2d_op(x, self.w, self.b, self.stride, self.pad, out_freq)
+        return conv_transpose2d_op(x, w, b, self.stride, self.pad, out_freq)
 
-    @property
-    def cache_frames(self):
-        return self.kt - 1
+    def __call__(self, x: Tensor) -> Tensor:
+        return self.op(x, self.w, self.b)
 
     def init_state(self, freq, dtype=np.float64):
-        return {"cache": np.zeros((self.cin, self.cache_frames, freq), dtype=dtype)}
+        return {"cache": np.zeros((self.cin, self.kt - 1, freq), dtype=dtype)}
 
-    def step(self, state, frame):
-        win = np.concatenate([state["cache"], frame[:, None, :]], axis=1)
-        f = frame.shape[1]
-        out_freq = self.out_freq or self.natural_out_freq(f)
-        span = self.stride * (f - 1) + self.kf
-        # tap (i, j) of x[t - i] lands on output bins j, j + stride, ...; undoing the
-        # logical view gives the stored [Cout, Kf, Cin, Kt] order, so no copy is made
-        wmat = self.w.data.transpose(0, 3, 1, 2).reshape(self.cout * self.kf, -1)
-        contrib = (wmat @ win[:, ::-1].reshape(-1, f)).reshape(self.cout, self.kf, f)
-        buf = np.zeros((self.cout, span), dtype=frame.dtype)
-        for j in range(self.kf):
-            buf[:, j : j + self.stride * (f - 1) + 1 : self.stride] += contrib[:, j]
-        take = min(out_freq, span - self.pad)
-        y = np.zeros((self.cout, out_freq), dtype=frame.dtype)
-        y[:, :take] = buf[:, self.pad : self.pad + take]
-        y += self.b.data[:, None]
-        if self.cache_frames:
-            state["cache"] = win[:, 1:, :]
+    def chunk(self, state, x):
+        """[Cin,T,F] frames that follow those already seen -> [Cout,T,out_freq]."""
+        out_freq = self.out_freq or self.natural_out_freq(x.shape[2])
+        y, state["cache"] = conv_transpose2d_chunk(x, state["cache"], self.w.data, self.b.data,
+                                                   self.stride, self.pad, out_freq)
         return y
 
-    @property
-    def param_count(self):
-        return self.w.data.size + self.b.data.size
+    def step(self, state, frame):
+        return self.chunk(state, frame[:, None])[:, 0]
 
     def macs_per_frame(self, in_freq):
         return self.cin * self.cout * self.kt * self.kf * in_freq
 
 
 # ---------------------------------------------------------------------------
-# gated pairs: out = lin(x) * sigmoid(gate(x)), one stacked weight per pair
+# stacked layers: several same-shape layers as row blocks of one weight
 
 
 class _Unregistered:
-    """Store stand-in for a gated pair's stacked layer: it allocates the
-    stacked arrays and registers nothing; the pair's halves fill them."""
+    """Store stand-in that allocates a stacked layer's arrays and registers nothing."""
 
     def __init__(self, dtype):
         self.dtype = dtype
@@ -334,54 +367,71 @@ class _Unregistered:
         return Tensor(np.empty(shape, dtype=self.dtype) if out is None else out)
 
 
-def gated_pair(cls, store, name, lin_name, gate_name, cin, cout, *args):
-    """``(lin, gate, pair)``: ``pair`` is an unregistered ``cls`` layer with
-    ``2*cout`` outputs; ``lin`` and ``gate`` are registered under their names
-    over views of its rows ``[:cout]`` and ``[cout:]``."""
-    pair = cls(_Unregistered(store.dtype), name, cin, 2 * cout, *args)
-    w, b = pair.w.data, pair.b.data
-    lin = cls(store, lin_name, cin, cout, *args, out=(w[:cout], b[:cout]))
-    gate = cls(store, gate_name, cin, cout, *args, out=(w[cout:], b[cout:]))
-    return lin, gate, pair
+def stacked(cls, store, name, part_names, cin, cout, *args):
+    """``(parts, whole)``: ``whole`` is an unregistered ``cls`` layer with
+    ``len(part_names)*cout`` outputs; part ``k`` is registered under
+    ``part_names[k]`` over a view of its rows ``[k*cout:(k+1)*cout]``."""
+    whole = cls(_Unregistered(store.dtype), name, cin, len(part_names) * cout, *args)
+    w, b = whole.w.data, whole.b.data
+    rows = [slice(k * cout, (k + 1) * cout) for k in range(len(part_names))]
+    parts = [cls(store, n, cin, cout, *args, out=(w[r], b[r])) for n, r in zip(part_names, rows)]
+    return parts, whole
+
+
+def stacked_op(whole, parts, x: Tensor) -> Tensor:
+    """``whole``'s op on the tape, its weight gradients split into ``parts``."""
+    w = ad.concat([p.w for p in parts], data=whole.w.data)
+    b = ad.concat([p.b for p in parts], data=whole.b.data)
+    return whole.op(x, w, b)
 
 
 def gate_halves(y):
-    """``lin * sigmoid(gate)`` of a stacked pair output ``[lin; gate]``."""
+    """``lin * sigmoid(gate)`` of a fresh stacked pair output ``[lin; gate]``,
+    computed in place: the result is a view of ``y``'s first half."""
     c = y.shape[0] // 2
-    return y[:c] * _sigmoid(y[c:])
+    lin, gate = y[:c], y[c:]
+    lin *= logistic(gate, out=gate)
+    return lin
+
+
+def gate_op(y: Tensor) -> Tensor:
+    """:func:`gate_halves` on the tape; off it, the fresh op output ``y`` is gated in place."""
+    if not ad.recording((y,)):
+        return Tensor(gate_halves(y.data))
+    yd = y.data
+    c = yd.shape[0] // 2
+    lin, s = yd[:c], logistic(yd[c:])
+
+    def bw(g):
+        gs = g * s
+        y.accumulate_grad(np.concatenate([gs, gs * lin * (1.0 - s)]))
+
+    return make_node(lin * s, (y,), bw)
 
 
 class _Gated:
     def __init__(self, cls, store, name, cin, cout, *args):
         self.name = name
-        self.lin, self.gate, self.pair = gated_pair(cls, store, name, f"{name}.lin",
-                                                    f"{name}.gate", cin, cout, *args)
+        (self.lin, self.gate), self.pair = stacked(
+            cls, store, name, (f"{name}.lin", f"{name}.gate"), cin, cout, *args)
 
     def __call__(self, x: Tensor) -> Tensor:
-        from . import autodiff as ad
-
-        return ad.mul(self.lin(x), ad.sigmoid(self.gate(x)))
+        return gate_op(stacked_op(self.pair, (self.lin, self.gate), x))
 
     def init_state(self, freq, dtype=np.float64):
         return self.pair.init_state(freq, dtype)
 
+    def chunk(self, state, x):
+        return gate_halves(self.pair.chunk(state, x))
+
     def step(self, state, frame):
         return gate_halves(self.pair.step(state, frame))
 
-    @property
-    def param_count(self):
-        return self.pair.param_count
-
-    def macs_per_frame(self, in_freq):
-        return self.pair.macs_per_frame(in_freq)
 
 
 class GatedConv2d(_Gated):
     def __init__(self, store, name, cin, cout, kernel=(2, 3), stride=1, pad=None):
         super().__init__(Conv2d, store, name, cin, cout, kernel, stride, pad)
-
-    def out_freq(self, f):
-        return self.pair.out_freq(f)
 
 
 class GatedConvTranspose2d(_Gated):
@@ -440,38 +490,29 @@ class InstanceNorm:
             return instance_norm_op(x, self.gamma, self.beta, self.eps)
         return self._frozen_affine(x)
 
-    def _frozen_affine(self, x: Tensor):
-        from . import autodiff as ad
-
-        gshape = (-1,) + (1,) * (x.data.ndim - 1)
+    def _frozen(self, ndim):
+        """Per-channel ``1/std``, scale and offset of the frozen affine, for ``ndim``-D input."""
+        gshape = (-1,) + (1,) * (ndim - 1)
         inv = 1.0 / np.sqrt(self.run_var + self.eps)
-        w = (self.gamma.data * inv).reshape(gshape)
-        off = (self.beta.data - self.gamma.data * inv * self.run_mean).reshape(gshape)
-        gamma, beta, run_mean, eps = self.gamma, self.beta, self.run_mean, self.eps
+        off = self.beta.data - self.gamma.data * inv * self.run_mean
+        return inv.reshape(gshape), (self.gamma.data * inv).reshape(gshape), off.reshape(gshape)
+
+    def _frozen_affine(self, x: Tensor):
+        gamma, beta, run_mean = self.gamma, self.beta, self.run_mean
         xd = x.data
-        y = w * xd + off
+        inv, w, off = self._frozen(xd.ndim)
 
         def bw(g):
             axes = tuple(range(1, xd.ndim))
             x.accumulate_grad(g * w)
-            invf = 1.0 / np.sqrt(self.run_var + eps)
-            gamma.accumulate_grad((g * (xd - run_mean.reshape(gshape)) * invf.reshape(gshape)).sum(axis=axes))
+            gamma.accumulate_grad((g * (xd - run_mean.reshape(inv.shape)) * inv).sum(axis=axes))
             beta.accumulate_grad(g.sum(axis=axes))
 
-        return make_node(y, (x, gamma, beta), bw)
-
-    def init_state(self, freq=None, dtype=np.float64):
-        return {}
+        return make_node(w * xd + off, (x, gamma, beta), bw)
 
     def step(self, state, frame):
-        inv = 1.0 / np.sqrt(self.run_var + self.eps)
-        w = (self.gamma.data * inv)[:, None]
-        off = (self.beta.data - self.gamma.data * inv * self.run_mean)[:, None]
+        _, w, off = self._frozen(frame.ndim)
         return w * frame + off
-
-    @property
-    def param_count(self):
-        return 2 * self.channels
 
 
 # ---------------------------------------------------------------------------
@@ -484,20 +525,11 @@ class PReLU:
         self.alpha = store.add_full(f"{name}.alpha", (channels,), init_slope)
 
     def __call__(self, x: Tensor) -> Tensor:
-        from . import autodiff as ad
-
         return ad.prelu(x, self.alpha)
-
-    def init_state(self, freq=None, dtype=np.float64):
-        return {}
 
     def step(self, state, frame):
         slope = self.alpha.data.reshape((-1,) + (1,) * (frame.ndim - 1))
         return np.where(frame > 0, frame, slope * frame)
-
-    @property
-    def param_count(self):
-        return self.alpha.data.size
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +554,8 @@ class Linear:
 
         return make_node(xd @ wd + self.b.data, (x, w, b), bw)
 
-    def init_state(self, dtype=np.float64):
-        return {}
-
     def step(self, state, vec):
         return vec @ self.w.data + self.b.data
-
-    @property
-    def param_count(self):
-        return self.w.data.size + self.b.data.size
 
     @property
     def macs_per_frame(self):
@@ -567,16 +592,9 @@ class ChannelAffine:
     def __call__(self, x: Tensor) -> Tensor:
         return channel_affine_op(x, self.w, self.b)
 
-    def init_state(self, freq=None, dtype=np.float64):
-        return {}
-
     def step(self, state, frame):
         gshape = (-1,) + (1,) * (frame.ndim - 1)
         return self.w.data.reshape(gshape) * frame + self.b.data.reshape(gshape)
-
-    @property
-    def param_count(self):
-        return 2 * self.channels
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +618,9 @@ def lstm_seq_forward(x, weights, biases):
         hs, h_prev, c_prev, iv, fv, gv, ov, tc = (arr() for _ in range(8))
         for ti in range(t):
             gate = gates_x[ti] + wh @ h
-            i_ = _sigmoid(gate[:hid])
-            f_ = _sigmoid(gate[hid : 2 * hid])
+            sig = logistic(gate)
+            i_, f_, o_ = sig[:hid], sig[hid : 2 * hid], sig[3 * hid :]
             g_ = np.tanh(gate[2 * hid : 3 * hid])
-            o_ = _sigmoid(gate[3 * hid :])
             h_prev[ti], c_prev[ti] = h, c
             c = f_ * c + i_ * g_
             tc_ = np.tanh(c)
@@ -690,18 +707,13 @@ class Lstm:
         inp = vec
         for l in range(self.layers):
             gate = self.ws[l].data @ np.concatenate([inp, state["h"][l]]) + self.bs[l].data
-            i_ = _sigmoid(gate[:hid])
-            f_ = _sigmoid(gate[hid : 2 * hid])
+            sig = logistic(gate)
+            i_, f_, o_ = sig[:hid], sig[hid : 2 * hid], sig[3 * hid :]
             g_ = np.tanh(gate[2 * hid : 3 * hid])
-            o_ = _sigmoid(gate[3 * hid :])
             state["c"][l] = f_ * state["c"][l] + i_ * g_
             state["h"][l] = o_ * np.tanh(state["c"][l])
             inp = state["h"][l]
         return inp.copy()
-
-    @property
-    def param_count(self):
-        return sum(w.data.size for w in self.ws) + sum(b.data.size for b in self.bs)
 
     @property
     def macs_per_frame(self):

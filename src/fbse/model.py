@@ -34,7 +34,9 @@ from .layers import (
     Lstm,
     PReLU,
     gate_halves,
-    gated_pair,
+    gate_op,
+    stacked,
+    stacked_op,
 )
 from .params import ParamStore
 
@@ -219,8 +221,8 @@ class GatedTcnBlock:
         feat, hid = cfg.feature_dim, cfg.hidden_dim
         self.pw_in = Conv1d(store, f"{name}.pw_in", feat, hid, 1)
         self.act_in = PReLU(store, f"{name}.act_in", hid)
-        self.dil_lin, self.dil_gate, self.dil = gated_pair(
-            Conv1d, store, f"{name}.dil", f"{name}.dil_lin", f"{name}.dil_gate",
+        (self.dil_lin, self.dil_gate), self.dil = stacked(
+            Conv1d, store, f"{name}.dil", (f"{name}.dil_lin", f"{name}.dil_gate"),
             hid, hid, cfg.kernel, dilation)
         self.act_mid = PReLU(store, f"{name}.act_mid", hid)
         self.pw_out = Conv1d(store, f"{name}.pw_out", hid, feat, 1)
@@ -229,7 +231,7 @@ class GatedTcnBlock:
 
     def __call__(self, x: Tensor) -> Tensor:
         h = self.act_in(self.pw_in(x))
-        g = ad.mul(self.dil_lin(h), ad.sigmoid(self.dil_gate(h)))
+        g = gate_op(stacked_op(self.dil, (self.dil_lin, self.dil_gate), h))
         return ad.add(x, self.pw_out(self.act_mid(g)))
 
     def init_state(self, dtype):
@@ -476,20 +478,23 @@ class MultiBandTcn:
 
 
 class MaskHead:
-    """Six parallel kernel-1 convs -> tanh-bounded real/imag mask planes."""
+    """Six kernel-1 convs, stacked as one -> tanh-bounded real/imag mask planes."""
 
     def __init__(self, store, name, in_dim, bins):
         self.bins = bins
-        self.convs = [Conv1d(store, f"{name}.plane{p}", in_dim, bins, 1)
-                      for p in range(RI_PLANES)]
+        self.convs, self.whole = stacked(Conv1d, store, name,
+                                         [f"{name}.plane{p}" for p in range(RI_PLANES)],
+                                         in_dim, bins, 1)
 
     def __call__(self, feat: Tensor):
         # returns [(mask_r, mask_i)] per sub-channel, each [T, F]
-        planes = [ad.tanh(ad.moveaxis(conv(feat), 0, 1)) for conv in self.convs]
+        masks = ad.tanh(ad.moveaxis(stacked_op(self.whole, self.convs, feat), 0, 1))
+        b = self.bins
+        planes = [ad.narrow(masks, 1, p * b, (p + 1) * b) for p in range(RI_PLANES)]
         return [(planes[2 * ch], planes[2 * ch + 1]) for ch in range(NUM_CHANNELS)]
 
     def step(self, state, feat_f):
-        planes = [np.tanh(conv.step(None, feat_f)) for conv in self.convs]
+        planes = np.tanh(self.whole.step(None, feat_f)).reshape(RI_PLANES, self.bins)
         return [(planes[2 * ch], planes[2 * ch + 1]) for ch in range(NUM_CHANNELS)]
 
 

@@ -99,3 +99,18 @@ def test_determinism_bitwise():
 
     (v1, g1), (v2, g2) = run(), run()
     assert np.array_equal(v1, v2) and np.array_equal(g1, g2)
+
+
+def test_logistic_matches_expit_everywhere():
+    from scipy.special import expit
+
+    x = np.concatenate([np.linspace(-800.0, 800.0, 160001), [np.inf, -np.inf, np.nan]])
+    before = x.copy()
+    got = ad.logistic(x)
+    np.testing.assert_array_equal(x, before)  # a new buffer unless ``out`` is given
+    assert np.isnan(got[-1]) and got[-3] == 1.0 and got[-2] == 0.0
+    np.testing.assert_allclose(got, expit(x), rtol=0, atol=5e-16)
+    assert ad.logistic(x.astype(np.float32)).dtype == np.float32
+    y = x.copy()
+    assert ad.logistic(y, out=y) is y and np.array_equal(y, got, equal_nan=True)
+    np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).data, got)

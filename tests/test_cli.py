@@ -144,8 +144,9 @@ class TestGradcheckCmd:
         assert code == 0
         rep = json.loads(stdout)
         assert rep["passed"] is True
-        assert set(rep["checks"]) == {"conv1d", "gconv2d", "gdeconv2d", "instance_norm",
-                                      "lstm", "pointwise", "cmse_loss"}
+        assert set(rep["checks"]) == {"conv1d", "gconv2d", "gconv2d_k5", "gdeconv2d",
+                                      "gdeconv2d_trim", "instance_norm", "lstm", "pointwise",
+                                      "cmse_loss"}
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(["gradcheck", "--seeds", "1", "--report", "json"], capsys)

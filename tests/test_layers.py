@@ -518,3 +518,96 @@ class TestStackedGatedPairs:
         zeroed = _gated_layers(m.comp)
         assert zeroed and all(not _halves_and_pair(g)[2].w.data.any() for g in zeroed)
         check()
+
+
+def _directional_fd(forward, tensors, rng, h=1e-6):
+    """Central difference of ``forward()`` along one random direction of ``tensors``."""
+    dirs = [rng.standard_normal(t.data.shape) for t in tensors]
+    values = []
+    for sign in (1.0, -1.0):
+        for t, d in zip(tensors, dirs):
+            t.data += sign * h * d
+        values.append(float(forward().data))
+        for t, d in zip(tensors, dirs):
+            t.data -= sign * h * d
+    return (values[0] - values[1]) / (2 * h), dirs
+
+
+class TestStackedBackward:
+    """Stacked ops put their gradients into the registered part tensors, and
+    the blocked 2-D conv backward holds across time-block boundaries."""
+
+    @pytest.mark.parametrize("gated", [
+        lambda s: layers.GatedConv2d(s, "g", 3, 4, (2, 5), stride=2),
+        lambda s: layers.GatedConvTranspose2d(s, "g", 3, 4, (2, 3), stride=2, out_freq=8),
+    ], ids=["gconv2d-k2x5-s2", "gdeconv-trim"])
+    def test_gated_pair_grads_land_in_lin_and_gate(self, gated):
+        rng = np.random.default_rng(21)
+        layer = gated(ParamStore(21))
+        freq = 17 if isinstance(layer, layers.GatedConv2d) else 5
+        x = Tensor(rng.standard_normal((3, 2 * layers.TIME_BLOCK + 5, freq)), requires_grad=True)
+        probe = rng.standard_normal(layer(x).data.shape)
+        tensors = [layer.lin.w, layer.lin.b, layer.gate.w, layer.gate.b, x]
+
+        def grads(forward):
+            for t in tensors:
+                t.grad = None
+            forward().backward()
+            return [t.grad.copy() for t in tensors]
+
+        stacked = grads(lambda: ad.sum_all(ad.mul(layer(x), Tensor(probe))))
+        # the two halves run as separate layers over the same registered tensors
+        halves = grads(lambda: ad.sum_all(ad.mul(
+            ad.mul(layer.lin(x), ad.sigmoid(layer.gate(x))), Tensor(probe))))
+        for got, want in zip(stacked, halves):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        assert layer.pair.w.grad is None and layer.pair.b.grad is None
+
+        fd, dirs = _directional_fd(lambda: ad.sum_all(ad.mul(layer(x), Tensor(probe))),
+                                   tensors, rng)
+        analytic = sum(float(np.sum(g * d)) for g, d in zip(stacked, dirs))
+        assert abs(analytic - fd) <= 1e-6 * max(abs(fd), 1.0)
+
+    def test_mask_head_grads_land_in_planes(self):
+        rng = np.random.default_rng(22)
+        head = model.MaskHead(ParamStore(22), "h", in_dim=8, bins=161)
+        feat = Tensor(rng.standard_normal((8, 9)), requires_grad=True)
+        probes = [rng.standard_normal((9, 161)) for _ in range(6)]
+        tensors = [t for conv in head.convs for t in (conv.w, conv.b)] + [feat]
+
+        def grads(planes):
+            for t in tensors:
+                t.grad = None
+            loss = ad.sum_all(ad.mul(planes[0], Tensor(probes[0])))
+            for p, probe in zip(planes[1:], probes[1:]):
+                loss = ad.add(loss, ad.sum_all(ad.mul(p, Tensor(probe))))
+            loss.backward()
+            return [t.grad.copy() for t in tensors]
+
+        stacked = grads([p for pair in head(feat) for p in pair])
+        separate = grads([ad.tanh(ad.moveaxis(conv(feat), 0, 1)) for conv in head.convs])
+        for got, want in zip(stacked, separate):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+class TestConvMemory:
+    def test_gated_conv2d_peak_does_not_grow_with_length(self):
+        # x is allocated before tracing; the forward holds its padded copy and the
+        # pair's stacked [2*Cout, T, F] output, gated in place. Anything above
+        # that is the per-block column buffer, which must not grow with T.
+        import tracemalloc
+
+        def excess(t):
+            layer = layers.GatedConv2d(ParamStore(0), "g", 64, 64, (2, 3))
+            x = Tensor(np.random.default_rng(0).standard_normal((64, t, 81)))
+            tracemalloc.start()
+            try:
+                with ad.no_grad():
+                    out = layer(x).data
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - x.data.nbytes - 2 * out.nbytes
+
+        small, large = excess(layers.TIME_BLOCK), excess(16 * layers.TIME_BLOCK)
+        assert large <= 1.1 * small, (small, large)

@@ -146,6 +146,46 @@ class TestLayerStepEquivalence:
                 np.testing.assert_allclose(out[ch][1], st.enhanced[ch][1].data[t], atol=1e-10)
 
 
+CHUNK_T = 2 * layers.TIME_BLOCK + 5  # two full time blocks and a partial one
+
+# builder, input channels, input bins; f=5 deconv bins give a natural 9, so
+# out_freq 8 trims and 11 zero-pads
+CHUNK_LAYERS = {
+    "conv2d-k2x5-s2": (lambda s: layers.Conv2d(s, "c", 3, 4, (2, 5), stride=2), 3, 17),
+    "conv2d-k2x3-s1": (lambda s: layers.Conv2d(s, "c", 3, 4, (2, 3), stride=1), 3, 17),
+    "deconv-trim": (lambda s: layers.ConvTranspose2d(s, "d", 3, 4, (2, 3), out_freq=8), 3, 5),
+    "deconv-zero-pad": (lambda s: layers.ConvTranspose2d(s, "d", 3, 4, (2, 3), out_freq=11), 3, 5),
+    "gated-conv2d": (lambda s: layers.GatedConv2d(s, "g", 3, 4, (2, 5), stride=2), 3, 17),
+    "gated-deconv": (lambda s: layers.GatedConvTranspose2d(s, "g", 3, 4, (2, 3), out_freq=8),
+                     3, 5),
+}
+
+
+class TestChunkEquivalence:
+    """The whole-sequence forward, per-frame ``step`` and ``chunk`` of any size
+    run one kernel, across time-block boundaries."""
+
+    @pytest.mark.parametrize("name", sorted(CHUNK_LAYERS))
+    def test_call_step_and_chunks_agree(self, name):
+        build, cin, freq = CHUNK_LAYERS[name]
+        rng = np.random.default_rng(13)
+        store = ParamStore(13)
+        layer = build(store)
+        for pname, p in store.params.items():
+            if pname.endswith("bias"):
+                p.data[...] = rng.standard_normal(p.data.shape)
+        x = rng.standard_normal((cin, CHUNK_T, freq))
+        offline = layer(Tensor(x)).data
+        state = layer.init_state(freq)
+        stepped = np.stack([layer.step(state, x[:, t]) for t in range(CHUNK_T)], axis=1)
+        np.testing.assert_allclose(stepped, offline, atol=1e-12)
+        for size in (1, 3, 7):
+            state = layer.init_state(freq)
+            chunked = np.concatenate([layer.chunk(state, x[:, t : t + size])
+                                      for t in range(0, CHUNK_T, size)], axis=1)
+            np.testing.assert_allclose(chunked, offline, atol=1e-12, err_msg=f"chunk {size}")
+
+
 class TestStreamContract:
     def test_emission_schedule_and_counter(self, tiny_model):
         x = rand_audio(4800, seed=1)
