@@ -5,6 +5,13 @@ closure. ``backward()`` runs the tape once in reverse topological order and
 then releases it; a second ``backward()`` on the same graph raises
 ``StaleGraphError``. Structured ops (convolutions, LSTM, instance norm) build
 their nodes with :func:`make_node` and live in :mod:`fbse.layers`.
+
+Two rules keep the sweep lean. A backward closure computes no gradient for a
+parent that does not require one (a constant: no ``requires_grad`` and no
+parents), and such a parent never gets a ``.grad``. The first gradient a
+tensor receives becomes its ``.grad`` buffer without a copy; a closure that
+hands on a buffer another tensor may also receive (the fan-out of ``add``,
+the pieces of ``concat``) passes ``shared=True`` and the receiver copies it.
 """
 
 import contextlib
@@ -39,10 +46,14 @@ class Tensor:
         self._backward_fn = None
         self._spent = False
 
-    def accumulate_grad(self, g):
+    def accumulate_grad(self, g, shared=False):
+        """Add ``g`` into ``.grad``; the first write adopts ``g`` unless ``shared``."""
+        if not self.requires_grad:
+            return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g.astype(self.data.dtype, copy=shared)
+        else:
+            self.grad += g
 
     def backward(self, grad=None):
         """Reverse-mode sweep from this node; releases the tape afterwards."""
@@ -53,7 +64,7 @@ class Tensor:
         if grad is None:
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
+            grad = np.array(grad, dtype=self.data.dtype)  # a copy: the sweep writes into it
             if grad.shape != self.data.shape:
                 raise ShapeMismatchError(f"seed grad {grad.shape} vs value {self.data.shape}")
         order = _toposort(self)
@@ -113,7 +124,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         a.accumulate_grad(g)
-        b.accumulate_grad(g)
+        b.accumulate_grad(g, shared=a.requires_grad)
 
     return make_node(a.data + b.data, (a, b), bw)
 
@@ -123,7 +134,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         a.accumulate_grad(g)
-        b.accumulate_grad(-g)
+        if b.requires_grad:
+            b.accumulate_grad(-g)
 
     return make_node(a.data - b.data, (a, b), bw)
 
@@ -133,8 +145,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def bw(g):
-        a.accumulate_grad(g * b_data)
-        b.accumulate_grad(g * a_data)
+        if a.requires_grad:
+            a.accumulate_grad(g * b_data)
+        if b.requires_grad:
+            b.accumulate_grad(g * a_data)
 
     return make_node(a_data * b_data, (a, b), bw)
 
@@ -153,7 +167,10 @@ def sigmoid(x: Tensor) -> Tensor:
     y = logistic(x.data)
 
     def bw(g):
-        x.accumulate_grad(g * y * (1.0 - y))
+        dx = np.subtract(1.0, y)
+        dx *= y
+        dx *= g
+        x.accumulate_grad(dx)
 
     return make_node(y, (x,), bw)
 
@@ -162,7 +179,10 @@ def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
 
     def bw(g):
-        x.accumulate_grad(g * (1.0 - y * y))
+        dx = np.multiply(y, y)
+        np.subtract(1.0, dx, out=dx)
+        dx *= g
+        x.accumulate_grad(dx)
 
     return make_node(y, (x,), bw)
 
@@ -174,10 +194,16 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
     pos = xd > 0
     y = np.where(pos, xd, slope * xd)
 
-    def bw(g):
-        x.accumulate_grad(np.where(pos, g, slope * g))
-        neg = np.where(pos, 0.0, g * xd)
-        alpha.accumulate_grad(neg.reshape(xd.shape[0], -1).sum(axis=1))
+    def bw(g):  # branch-free: a select on the sign of x costs ~15x a multiply
+        if alpha.requires_grad:  # sum of min(x, 0) * g per channel
+            neg = np.minimum(xd, 0.0)
+            neg *= g
+            alpha.accumulate_grad(neg.reshape(xd.shape[0], -1).sum(axis=1))
+        if x.requires_grad:  # g times 1 where x > 0, else slope
+            dx = np.multiply(pos, 1.0 - slope)
+            dx += slope
+            dx *= g
+            x.accumulate_grad(dx)
 
     return make_node(y, (x, alpha), bw)
 
@@ -188,7 +214,7 @@ def concat(parts, axis=0, data=None) -> Tensor:
 
     def bw(g):
         for p, piece in zip(parts, np.split(g, splits, axis=axis)):
-            p.accumulate_grad(piece)
+            p.accumulate_grad(piece, shared=True)
 
     if data is None:
         data = np.concatenate([p.data for p in parts], axis=axis)
@@ -201,9 +227,9 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx = tuple(idx)
 
     def bw(g):
-        full = np.zeros_like(x.data)
-        full[idx] = g
-        x.accumulate_grad(full)
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[idx] += g
 
     return make_node(x.data[idx].copy(), (x,), bw)
 
@@ -235,6 +261,8 @@ def square(x: Tensor) -> Tensor:
     xd = x.data
 
     def bw(g):
-        x.accumulate_grad(2.0 * g * xd)
+        dx = np.multiply(g, xd)
+        dx *= 2.0
+        x.accumulate_grad(dx)
 
     return make_node(xd * xd, (x,), bw)

@@ -12,8 +12,10 @@ A 2-D conv layer has one chunk kernel ``(x [Cin,T,F], cache [Cin,Kt-1,F]) ->
 windows and then ``Kf`` strided adds (``conv_transpose2d_chunk``), once per
 block of ``TIME_BLOCK`` frames, so the columns stay a few MB at any length.
 The whole-sequence forward is the chunk from a zero cache, ``chunk(state, x)``
-continues a stream and ``step`` is its T=1 case; the tape's backward runs the
-transposed GEMMs over the same blocks, then col2im. ``ConvTranspose2d``
+continues a stream and ``step`` is its T=1 case. The tape's backward walks the
+same blocks with one column buffer per call: a conv's input gradient is the
+deconv's GEMM and ``Kf`` adds applied to ``g``, a deconv's is a strided conv of
+``g`` whose columns also give its weight gradient. ``ConvTranspose2d``
 stores its weight in step order ``[Cout, Kf, Cin, Kt]`` behind the logical
 ``[Cout, Cin, Kt, Kf]`` view, so its matrix is a free reshape.
 
@@ -64,15 +66,18 @@ def conv1d_op(x: Tensor, w: Tensor, b: Tensor, dilation: int) -> Tensor:
     pad = (k - 1) * dilation
 
     def bw(g):
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(wd)
+        dw = np.empty_like(wd)
         for i in range(k):
-            seg = slice(i * dilation, i * dilation + t)
-            dw[:, :, i] = g @ xp[:, seg].T
-            dxp[:, seg] += wd[:, :, i].T @ g
+            dw[:, :, i] = g @ xp[:, i * dilation : i * dilation + t].T
         w.accumulate_grad(dw)
         b.accumulate_grad(g.sum(axis=1))
-        x.accumulate_grad(dxp[:, pad:])
+        if x.requires_grad:  # tap i reads x from pad - i*dilation frames back
+            dx = wd[:, :, k - 1].T @ g
+            for i in range(k - 1):
+                lag = pad - i * dilation
+                if lag < t:
+                    dx[:, : t - lag] += wd[:, :, i].T @ g[:, lag:]
+            x.accumulate_grad(dx)
 
     return make_node(y, (x, w, b), bw)
 
@@ -80,10 +85,12 @@ def conv1d_op(x: Tensor, w: Tensor, b: Tensor, dilation: int) -> Tensor:
 class Conv1d:
     """Dilated causal 1-D convolution over the time axis."""
 
-    def __init__(self, store: ParamStore, name, cin, cout, kernel=1, dilation=1, out=(None, None)):
+    def __init__(self, store: ParamStore, name, cin, cout, kernel=1, dilation=1, out=(None, None),
+                 gain=1.0):
         self.name = name
         self.cin, self.cout, self.kernel, self.dilation = cin, cout, kernel, dilation
-        self.w = store.add(f"{name}.weight", (cout, cin, kernel), fan_in=cin * kernel, out=out[0])
+        self.w = store.add(f"{name}.weight", (cout, cin, kernel), fan_in=cin * kernel, out=out[0],
+                           gain=gain)
         self.b = store.add(f"{name}.bias", (cout,), zero=True, out=out[1])
 
     def op(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -122,7 +129,15 @@ def _time_blocks(t):
         yield t0, min(TIME_BLOCK, t - t0)
 
 
-def _conv2d_cols(xp, t0, n, kt, kf, stride):
+def _copy_into(out, taps):
+    """``taps`` as a ``[prod(shape[:-2]), prod(shape[-2:])]`` matrix in the head
+    of the flat buffer ``out``, which the blocks of one backward reuse."""
+    m = out[: taps.size].reshape(-1, taps.shape[-2] * taps.shape[-1])
+    np.copyto(m.reshape(taps.shape), taps)
+    return m
+
+
+def _conv2d_cols(xp, t0, n, kt, kf, stride, out=None):
     """im2col of output frames ``t0 .. t0+n-1``: ``[Cin*Kt*Kf, n*Fo]``, row
     ``(c, i, j)`` and column ``(b, o)`` holding ``xp[c, t0+b+i, stride*o+j]``."""
     cin, _, fp = xp.shape
@@ -130,7 +145,7 @@ def _conv2d_cols(xp, t0, n, kt, kf, stride):
     sc, st, sf = xp.strides
     taps = as_strided(xp[:, t0:], (cin, kt, kf, n, fo), (sc, st, sf, st, stride * sf),
                       writeable=False)
-    return taps.reshape(-1, n * fo)
+    return taps.reshape(-1, n * fo) if out is None else _copy_into(out, taps)
 
 
 def conv2d_chunk(x, cache, w, b, stride, pad):
@@ -165,24 +180,39 @@ def conv2d_op(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
     xd, wd = x.data, w.data
 
     def bw(g):
-        # transposed GEMMs over the same blocks (columns recomputed), then col2im
+        # per block: dW from the recomputed columns; dx is the transposed conv of
+        # g, i.e. the deconv kernel's GEMM on g's time-reversed windows + Kf adds
         cout, cin, kt, kf = wd.shape
         t, f = xd.shape[1], xd.shape[2]
         fo = g.shape[2]
-        xp = np.pad(xd, ((0, 0), (kt - 1, 0), (pad, pad)))
-        wmat = wd.reshape(cout, -1)
+        xp = np.zeros((cin, kt - 1 + t, f + 2 * pad), dtype=xd.dtype)  # as the forward's
+        xp[:, kt - 1 :, pad : pad + f] = xd
         gm = g.reshape(cout, -1)
-        dw = np.zeros_like(wmat)
-        dxp = np.zeros_like(xp)
+        dw = np.zeros((cout, cin * kt * kf), dtype=wd.dtype)
+        active = x.requires_grad
+        block = min(TIME_BLOCK, t) * fo
+        xcols = np.empty(cin * kt * kf * block, dtype=xd.dtype)  # buffers reused by every block
+        if active:
+            gp = np.zeros((cout, t + kt - 1, fo), dtype=g.dtype)  # frames past the end: zero
+            gp[:, :t] = g
+            wmat_t = wd.transpose(1, 3, 0, 2).reshape(cin * kf, cout * kt)
+            scatter = _deconv_scatter(fo, kf, stride, pad, f)
+            dx = np.zeros_like(xd)
+            gcols = np.empty(cout * kt * block, dtype=g.dtype)
+            dcols = np.empty(cin * kf * block, dtype=g.dtype)
         for t0, n in _time_blocks(t):
-            gb = gm[:, t0 * fo : (t0 + n) * fo]
-            dw += gb @ _conv2d_cols(xp, t0, n, kt, kf, stride).T
-            dcols = (wmat.T @ gb).reshape(cin, kt, kf, n, fo)
-            for i, j in np.ndindex(kt, kf):
-                dxp[:, t0 + i : t0 + i + n, j : j + stride * fo : stride] += dcols[:, i, j]
+            cols = _conv2d_cols(xp, t0, n, kt, kf, stride, out=xcols)
+            dw += gm[:, t0 * fo : (t0 + n) * fo] @ cols.T
+            if active:
+                taps = np.matmul(wmat_t, _deconv_cols(gp, t0, n, kt, out=gcols),
+                                 out=dcols[: cin * kf * n * fo].reshape(cin * kf, n * fo))
+                taps = taps.reshape(cin, kf, n, fo)
+                for j, in_bins, out_bins in scatter:
+                    dx[:, t0 : t0 + n, in_bins] += taps[:, j, :, out_bins]
         w.accumulate_grad(dw.reshape(wd.shape))
         b.accumulate_grad(g.sum(axis=(1, 2)))
-        x.accumulate_grad(dxp[:, kt - 1 :, pad : pad + f])
+        if active:
+            x.accumulate_grad(dx)
 
     return make_node(y, (x, w, b), bw)
 
@@ -229,13 +259,13 @@ class Conv2d:
 # transposed 2-D convolution (frequency upsampling), causal in time
 
 
-def _deconv_cols(xp, t0, n, kt):
+def _deconv_cols(xp, t0, n, kt, out=None):
     """Time-reversed windows of output frames ``t0 .. t0+n-1``: ``[Cin*Kt, n*F]``,
     row ``(c, i)`` and column ``(b, f)`` holding ``xp[c, t0+b+Kt-1-i, f]``."""
     cin, _, f = xp.shape
     sc, st, sf = xp.strides
     taps = as_strided(xp[:, t0 + kt - 1 :], (cin, kt, n, f), (sc, -st, st, sf), writeable=False)
-    return taps.reshape(-1, n * f)
+    return taps.reshape(-1, n * f) if out is None else _copy_into(out, taps)
 
 
 def _deconv_scatter(f, kf, stride, pad, out_freq):
@@ -283,26 +313,29 @@ def conv_transpose2d_op(x: Tensor, w: Tensor, b: Tensor, stride, pad, out_freq) 
     xd, wd = x.data, w.data
 
     def bw(g):
-        # per block: gather g per frequency tap, transposed GEMMs, col2im over time
+        # the input gradient is a strided conv of g: per block, one set of
+        # im2col columns of g serves dW and dx, each one GEMM
         cout, cin, kt, kf = wd.shape
         t, f = xd.shape[1], xd.shape[2]
-        xp = np.pad(xd, ((0, 0), (kt - 1, 0), (0, 0)))
-        wmat = wd.transpose(0, 3, 1, 2).reshape(cout * kf, -1)
-        scatter = _deconv_scatter(f, kf, stride, pad, out_freq)
-        dw = np.zeros(wmat.shape, dtype=wd.dtype)
-        dxp = np.zeros_like(xp)
+        span = min(out_freq, stride * (f - 1) + kf - pad)  # bins the taps reach
+        # zero: frames past the end, bins left of 0 and bins the output trimmed away
+        gp = np.zeros((cout, t + kt - 1, stride * (f - 1) + kf), dtype=g.dtype)
+        gp[:, :t, pad : pad + span] = g[:, :, :span]
+        dw = np.zeros((cout * kt * kf, cin), dtype=wd.dtype)
+        active = x.requires_grad
+        if active:
+            wmat_t = wd.transpose(1, 0, 2, 3).reshape(cin, -1)
+            dx = np.empty_like(xd)
+        buf = np.empty(cout * kt * kf * min(TIME_BLOCK, t) * f, dtype=g.dtype)
         for t0, n in _time_blocks(t):
-            gcols = np.zeros((cout, kf, n, f), dtype=g.dtype)
-            for j, out_bins, in_bins in scatter:
-                gcols[:, j, :, in_bins] = g[:, t0 : t0 + n, out_bins]
-            gcols = gcols.reshape(cout * kf, -1)
-            dw += gcols @ _deconv_cols(xp, t0, n, kt).T
-            dcols = (wmat.T @ gcols).reshape(cin, kt, n, f)
-            for i in range(kt):
-                dxp[:, t0 + kt - 1 - i : t0 + kt - 1 - i + n] += dcols[:, i]
-        w.accumulate_grad(dw.reshape(cout, kf, cin, kt).transpose(0, 2, 3, 1))
+            cols = _conv2d_cols(gp, t0, n, kt, kf, stride, out=buf)
+            dw += cols @ xd[:, t0 : t0 + n].reshape(cin, -1).T
+            if active:
+                np.matmul(wmat_t, cols, out=dx[:, t0 : t0 + n].reshape(cin, -1))
+        w.accumulate_grad(dw.reshape(cout, kt, kf, cin).transpose(0, 3, 1, 2))
         b.accumulate_grad(g.sum(axis=(1, 2)))
-        x.accumulate_grad(dxp[:, kt - 1 :])
+        if active:
+            x.accumulate_grad(dx)
 
     return make_node(y, (x, w, b), bw)
 
@@ -403,8 +436,12 @@ def gate_op(y: Tensor) -> Tensor:
     lin, s = yd[:c], logistic(yd[c:])
 
     def bw(g):
-        gs = g * s
-        y.accumulate_grad(np.concatenate([gs, gs * lin * (1.0 - s)]))
+        dy = np.empty_like(yd)
+        gs = np.multiply(g, s, out=dy[:c])
+        dgate = np.subtract(1.0, s, out=dy[c:])
+        dgate *= lin
+        dgate *= gs
+        y.accumulate_grad(dy)
 
     return make_node(lin * s, (y,), bw)
 
@@ -456,12 +493,18 @@ def instance_norm_op(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tens
     n = int(np.prod([xd.shape[a] for a in axes]))
 
     def bw(g):
-        gamma.accumulate_grad((g * xh).sum(axis=axes))
-        beta.accumulate_grad(g.sum(axis=axes))
-        dxh = g * gamma.data.reshape(gshape)
-        s1 = dxh.sum(axis=axes, keepdims=True)
-        s2 = (dxh * xh).sum(axis=axes, keepdims=True)
-        x.accumulate_grad(inv / n * (n * dxh - s1 - xh * s2))
+        # dx = gamma * inv * (g - mean(g) - xh * mean(g * xh)), in one buffer
+        tmp = np.multiply(g, xh)
+        g_xh = tmp.sum(axis=axes, keepdims=True)
+        g_sum = g.sum(axis=axes, keepdims=True)
+        gamma.accumulate_grad(g_xh.reshape(-1))
+        beta.accumulate_grad(g_sum.reshape(-1))
+        if x.requires_grad:
+            dx = np.multiply(xh, g_xh / -n, out=tmp)
+            dx += g
+            dx -= g_sum / n
+            dx *= gamma.data.reshape(gshape) * inv
+            x.accumulate_grad(dx)
 
     return make_node(y, (x, gamma, beta), bw)
 
@@ -504,7 +547,8 @@ class InstanceNorm:
 
         def bw(g):
             axes = tuple(range(1, xd.ndim))
-            x.accumulate_grad(g * w)
+            if x.requires_grad:
+                x.accumulate_grad(g * w)
             gamma.accumulate_grad((g * (xd - run_mean.reshape(inv.shape)) * inv).sum(axis=axes))
             beta.accumulate_grad(g.sum(axis=axes))
 
@@ -548,7 +592,8 @@ class Linear:
         w, b = self.w, self.b
 
         def bw(g):
-            x.accumulate_grad(g @ wd.T)
+            if x.requires_grad:
+                x.accumulate_grad(g @ wd.T)
             w.accumulate_grad(xd.T @ g)
             b.accumulate_grad(g.sum(axis=0))
 
@@ -573,7 +618,8 @@ def channel_affine_op(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         axes = tuple(range(1, xd.ndim))
-        x.accumulate_grad(g * ws)
+        if x.requires_grad:
+            x.accumulate_grad(g * ws)
         w.accumulate_grad((g * xd).sum(axis=axes))
         b.accumulate_grad(g.sum(axis=axes))
 
@@ -641,25 +687,27 @@ def lstm_seq_backward(g_out, caches, weights):
         din, hid = cache["din"], cache["hid"]
         inp = cache["inp"]
         t = inp.shape[0]
-        wh = wl[:, din:]
-        dgates = np.zeros((t, 4 * hid), dtype=inp.dtype)
+        wh_t = wl[:, din:].T
+        iv, fv, gv, ov, tc = cache["i"], cache["f"], cache["g"], cache["o"], cache["tc"]
+        # local derivatives for all steps at once: the i, f, g gate gradients
+        # are dc times these, the o gate's is dh times its own, dc gets dh*dc_dh
+        dc_gates = np.stack([gv * iv * (1.0 - iv), cache["c_prev"] * fv * (1.0 - fv),
+                             iv * (1.0 - gv * gv)], axis=1)
+        dh_o = tc * ov * (1.0 - ov)
+        dc_dh = ov * (1.0 - tc * tc)
+        dgates = np.empty((t, 4 * hid), dtype=inp.dtype)
+        dg_cell = dgates[:, : 3 * hid].reshape(t, 3, hid)
+        dg_o = dgates[:, 3 * hid :]
         dh_rec = np.zeros(hid, dtype=inp.dtype)
         dc_rec = np.zeros(hid, dtype=inp.dtype)
-        iv, fv, gv, ov, tc = cache["i"], cache["f"], cache["g"], cache["o"], cache["tc"]
-        c_prev = cache["c_prev"]
         for ti in range(t - 1, -1, -1):
             dh = dh_seq[ti] + dh_rec
-            do = dh * tc[ti]
-            dc = dc_rec + dh * ov[ti] * (1.0 - tc[ti] ** 2)
-            di = dc * gv[ti]
-            df = dc * c_prev[ti]
-            dg = dc * iv[ti]
+            dc = dh * dc_dh[ti]
+            dc += dc_rec
+            np.multiply(dc_gates[ti], dc, out=dg_cell[ti])
+            np.multiply(dh_o[ti], dh, out=dg_o[ti])
             dc_rec = dc * fv[ti]
-            dgates[ti, :hid] = di * iv[ti] * (1.0 - iv[ti])
-            dgates[ti, hid : 2 * hid] = df * fv[ti] * (1.0 - fv[ti])
-            dgates[ti, 2 * hid : 3 * hid] = dg * (1.0 - gv[ti] ** 2)
-            dgates[ti, 3 * hid :] = do * ov[ti] * (1.0 - ov[ti])
-            dh_rec = wh.T @ dgates[ti]
+            dh_rec = wh_t @ dgates[ti]
         cat = np.concatenate([inp, cache["h_prev"]], axis=1)
         dws.append(dgates.T @ cat)
         dbs.append(dgates.sum(axis=0))
@@ -690,7 +738,8 @@ class Lstm:
 
         def bw(g):
             dx, dws, dbs = lstm_seq_backward(g, caches, weights)
-            x.accumulate_grad(dx)
+            if x.requires_grad:
+                x.accumulate_grad(dx)
             for wt, dw in zip(ws, dws):
                 wt.accumulate_grad(dw)
             for bt, db in zip(bs, dbs):

@@ -214,10 +214,17 @@ def encoder_freqs(cfg: UnetConfig, in_freq: int):
 # gated temporal conv stack (magnitude branch)
 
 
+def _branch_gain(depth):
+    """Init gain of the last layer of each of ``depth`` residual branches in
+    series: 1/sqrt(depth) keeps the stack's output rms O(1) at init (Fixup,
+    Zhang et al. 2019, arXiv:1901.09321)."""
+    return 1.0 / np.sqrt(depth)
+
+
 class GatedTcnBlock:
     """pointwise in -> gated dilated conv pair -> pointwise out, residual."""
 
-    def __init__(self, store, name, cfg: MagTcnConfig, dilation):
+    def __init__(self, store, name, cfg: MagTcnConfig, dilation, depth):
         feat, hid = cfg.feature_dim, cfg.hidden_dim
         self.pw_in = Conv1d(store, f"{name}.pw_in", feat, hid, 1)
         self.act_in = PReLU(store, f"{name}.act_in", hid)
@@ -225,7 +232,7 @@ class GatedTcnBlock:
             Conv1d, store, f"{name}.dil", (f"{name}.dil_lin", f"{name}.dil_gate"),
             hid, hid, cfg.kernel, dilation)
         self.act_mid = PReLU(store, f"{name}.act_mid", hid)
-        self.pw_out = Conv1d(store, f"{name}.pw_out", hid, feat, 1)
+        self.pw_out = Conv1d(store, f"{name}.pw_out", hid, feat, 1, gain=_branch_gain(depth))
         self.dilation = dilation
         self.kernel = cfg.kernel
 
@@ -253,7 +260,8 @@ class GatedTcnStack:
         for grp in range(cfg.groups):
             for idx in range(cfg.per_group):
                 d = cfg.dilations[idx % len(cfg.dilations)]
-                self.blocks.append(GatedTcnBlock(store, f"{name}.g{grp}.b{idx}", cfg, d))
+                self.blocks.append(GatedTcnBlock(store, f"{name}.g{grp}.b{idx}", cfg, d,
+                                                 depth=cfg.groups * cfg.per_group))
 
     @property
     def receptive_field(self) -> int:
@@ -389,12 +397,12 @@ class RecurrentUnet:
 
 
 class TcnBlock:
-    def __init__(self, store, name, dim, kernel, dilation):
+    def __init__(self, store, name, dim, kernel, dilation, depth):
         self.pw_in = Conv1d(store, f"{name}.pw_in", dim, dim, 1)
         self.act_in = PReLU(store, f"{name}.act_in", dim)
         self.dil = Conv1d(store, f"{name}.dil", dim, dim, kernel, dilation)
         self.act_mid = PReLU(store, f"{name}.act_mid", dim)
-        self.pw_out = Conv1d(store, f"{name}.pw_out", dim, dim, 1)
+        self.pw_out = Conv1d(store, f"{name}.pw_out", dim, dim, 1, gain=_branch_gain(depth))
         self.kernel, self.dilation = kernel, dilation
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -430,8 +438,9 @@ class MultiBandTcn:
             blocks = []
             for i in range(cfg.blocks_per_band):
                 d = cfg.dilations[i % len(cfg.dilations)]
+                # band b runs on band b-1's output: one residual stack of bands*blocks
                 blocks.append(TcnBlock(store, f"{name}.band{b}.blk{i}", cfg.band_dim,
-                                       cfg.kernel, d))
+                                       cfg.kernel, d, depth=cfg.bands * cfg.blocks_per_band))
             self.bands.append(blocks)
 
     def __call__(self, fixed: Tensor, dyn_flat: Tensor) -> Tensor:

@@ -32,10 +32,11 @@ class ParamStore:
             np.random.SeedSequence([self.rng_seed & 0xFFFFFFFF, zlib.crc32(name.encode())])
         )
 
-    def add(self, name, shape, fan_in=None, uniform_bound=None, zero=False, out=None) -> Tensor:
+    def add(self, name, shape, fan_in=None, uniform_bound=None, zero=False, out=None,
+            gain=1.0) -> Tensor:
         """Create and register one parameter tensor.
 
-        ``fan_in`` picks Kaiming-style uniform init (+-sqrt(6/fan_in)),
+        ``fan_in`` picks Kaiming-style uniform init (+-gain*sqrt(6/fan_in)),
         ``uniform_bound`` a plain +-bound, ``zero`` all-zeros. ``out``, an
         existing array of ``shape`` and the store's dtype (typically a view
         into a larger stacked array), is initialized in place and becomes the
@@ -48,7 +49,7 @@ class ParamStore:
             data = np.zeros(shape, dtype=self.dtype)
         else:
             if fan_in is not None:
-                bound = np.sqrt(6.0 / fan_in)
+                bound = gain * np.sqrt(6.0 / fan_in)
             elif uniform_bound is not None:
                 bound = float(uniform_bound)
             else:

@@ -34,41 +34,45 @@ class LossConfig:
 
 
 def _power_stats(r, i, c):
-    """Magnitude powers used by compression partials; zero-magnitude bins
-    contribute exactly zero everywhere (subgradient choice)."""
-    mag = np.hypot(r, i)
-    nz = mag > ZERO_MAG_FLOOR
-    p1 = np.zeros_like(mag)   # mag**(c-1)
-    p2 = np.zeros_like(mag)   # mag**(c-2)
-    p3 = np.zeros_like(mag)   # mag**(c-3)
-    m = mag[nz]
-    p1[nz] = m ** (c - 1.0)
-    p2[nz] = m ** (c - 2.0)
-    p3[nz] = m ** (c - 3.0)
+    """Magnitude and the powers used by compression partials; zero-magnitude
+    bins contribute exactly zero everywhere (subgradient choice)."""
+    mag = r * r
+    mag += i * i
+    np.sqrt(mag, out=mag)  # ~3x faster than np.hypot, within an ulp of it
+    p1 = np.power(mag, c - 1.0, out=np.zeros_like(mag), where=mag > ZERO_MAG_FLOOR)
+    safe = np.maximum(mag, ZERO_MAG_FLOOR)  # p1 is 0 where mag is not above the floor
+    p2 = p1 / safe  # mag**(c-2)
+    p3 = p2 / safe  # mag**(c-3)
     return mag, p1, p2, p3
 
 
 def _cmse_channel(est_r, est_i, ref_r, ref_i, cfg: LossConfig):
     """Unnormalized loss sum and its gradients w.r.t. one channel's linear RI."""
     c = cfg.compression
-    _, p1, p2, p3 = _power_stats(est_r, est_i, c)
-    rc = est_r * p1
-    ic = est_i * p1
-    mc = np.hypot(rc, ic)
-    _, q1, _, _ = _power_stats(ref_r, ref_i, c)
-    rc_ref = ref_r * q1
-    ic_ref = ref_i * q1
-    mc_ref = np.hypot(rc_ref, ic_ref)
-    dr_c = rc - rc_ref
-    di_c = ic - ic_ref
-    dm_c = mc - mc_ref
+    mag, p1, p2, p3 = _power_stats(est_r, est_i, c)
+    mag_ref, q1, _, _ = _power_stats(ref_r, ref_i, c)
+    dr_c = est_r * p1
+    dr_c -= ref_r * q1
+    di_c = est_i * p1
+    di_c -= ref_i * q1
+    dm_c = mag * p1  # the compressed magnitudes |z|**c
+    dm_c -= mag_ref * q1
     lam, beta = cfg.ri_weight, cfg.mag_weight
     total = lam * np.sum(dr_c**2 + di_c**2) + beta * np.sum(dm_c**2)
-    cm1 = c - 1.0
-    grad_r = (2.0 * lam * (dr_c * (p1 + cm1 * est_r**2 * p3) + di_c * cm1 * est_r * est_i * p3)
-              + 2.0 * beta * dm_c * c * est_r * p2)
-    grad_i = (2.0 * lam * (di_c * (p1 + cm1 * est_i**2 * p3) + dr_c * cm1 * est_r * est_i * p3)
-              + 2.0 * beta * dm_c * c * est_i * p2)
+    # d(z|z|^(c-1)) = |z|^(c-1) dz + (c-1)|z|^(c-3) z Re(conj(z) dz) and
+    # d|z|^c = c|z|^(c-2) Re(conj(z) dz), so the gradient is
+    # 2*lam*|z|^(c-1)*(dr, di) + k*(r, i) with one radial factor k per bin
+    k = dr_c * est_r
+    k += di_c * est_i
+    k *= p3
+    k *= 2.0 * lam * (c - 1.0)
+    k += (2.0 * beta * c) * dm_c * p2
+    grad_r = np.multiply(dr_c, p1)
+    grad_r *= 2.0 * lam
+    grad_r += k * est_r
+    grad_i = np.multiply(di_c, p1)
+    grad_i *= 2.0 * lam
+    grad_i += k * est_i
     return total, grad_r, grad_i
 
 
@@ -89,13 +93,17 @@ def cmse_loss_op(est_pairs, ref_pairs, cfg: LossConfig | None = None) -> Tensor:
         norm = n * er.data.size
         s, gr, gi = _cmse_channel(er.data, ei.data, rr, ri, cfg)
         total += s / norm
-        grads.append((gr / norm, gi / norm))
+        gr /= norm
+        gi /= norm
+        grads.append((gr, gi))
         parents.extend((er, ei))
 
-    def bw(g):
+    def bw(g):  # runs once, so the gradients are scaled and handed on in place
         for (er, ei), (gr, gi) in zip(est_pairs, grads):
-            er.accumulate_grad(float(g) * gr)
-            ei.accumulate_grad(float(g) * gi)
+            gr *= float(g)
+            gi *= float(g)
+            er.accumulate_grad(gr)
+            ei.accumulate_grad(gi)
 
     return make_node(np.asarray(total), tuple(parents), bw)
 
@@ -108,15 +116,26 @@ def decompress_op(r: Tensor, i: Tensor, c: float):
     _, p1, _, p3 = _power_stats(rd, idt, e)
     out_r = rd * p1
     out_i = idt * p1
-    em1 = e - 1.0
+    p3 *= e - 1.0  # the radial factor of the expansion's Jacobian
+
+    def partials(g, own, other):
+        # d out/d own = p1 + (e-1)|z|^(e-3) own^2, d out/d other = (e-1)|z|^(e-3) own*other
+        q = np.multiply(g, own)
+        q *= p3
+        d_other = np.multiply(q, other)
+        q *= own
+        q += np.multiply(g, p1)
+        return q, d_other
 
     def bw_r(g):
-        r.accumulate_grad(g * (p1 + em1 * rd**2 * p3))
-        i.accumulate_grad(g * em1 * rd * idt * p3)
+        dr, di = partials(g, rd, idt)
+        r.accumulate_grad(dr)
+        i.accumulate_grad(di)
 
     def bw_i(g):
-        i.accumulate_grad(g * (p1 + em1 * idt**2 * p3))
-        r.accumulate_grad(g * em1 * rd * idt * p3)
+        di, dr = partials(g, idt, rd)
+        i.accumulate_grad(di)
+        r.accumulate_grad(dr)
 
     return make_node(out_r, (r, i), bw_r), make_node(out_i, (r, i), bw_i)
 

@@ -114,3 +114,50 @@ def test_logistic_matches_expit_everywhere():
     y = x.copy()
     assert ad.logistic(y, out=y) is y and np.array_equal(y, got, equal_nan=True)
     np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).data, got)
+
+
+def test_add_fanout_gives_each_leaf_its_own_buffer():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    ad.sum_all(ad.add(a, b)).backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad[0] = 99.0
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+def test_concat_pieces_are_not_views_of_the_upstream_gradient():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((1, 3)), requires_grad=True)
+    cat = ad.concat([a, b], axis=0)
+    seed = np.arange(9.0).reshape(3, 3)
+    cat.backward(seed)
+    assert not np.shares_memory(a.grad, b.grad) and not np.shares_memory(a.grad, seed)
+    a.grad[...] = 0.0
+    np.testing.assert_array_equal(b.grad, [[6.0, 7.0, 8.0]])
+    np.testing.assert_array_equal(cat.grad, seed)  # the pieces were copied out of it
+
+
+def test_seed_grad_is_never_written():
+    a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    seed = np.array([0.5, 3.0])
+    ad.add(ad.reshape(a, (2,)), ad.reshape(a, (2,))).backward(seed)
+    np.testing.assert_array_equal(seed, [0.5, 3.0])
+    np.testing.assert_array_equal(a.grad, [1.0, 6.0])
+
+
+def test_constant_inputs_never_get_a_grad():
+    from fbse import layers
+    from fbse.params import ParamStore
+
+    rng = np.random.default_rng(4)
+    w = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    const = Tensor(rng.standard_normal((2, 3)))
+    alpha = Tensor(np.full(3, 0.25))
+    planes = Tensor(rng.standard_normal((2, 5, 9)))
+    conv = layers.GatedConv2d(ParamStore(4), "c", 2, 3, (2, 3), stride=2)
+    mixed = ad.narrow(ad.concat([const, w]), 0, 1, 3)  # one row of each
+    out = ad.add(ad.sum_all(ad.mul(ad.sub(const, w), mixed)),
+                 ad.sum_all(ad.prelu(conv(planes), alpha)))
+    out.backward()
+    assert const.grad is None and alpha.grad is None and planes.grad is None
+    assert w.grad is not None and conv.lin.w.grad is not None and conv.gate.b.grad is not None

@@ -234,6 +234,37 @@ class TestLstm:
             ref[t] = h[-1]
         np.testing.assert_allclose(out, ref, atol=1e-10)
 
+    def test_backward_matches_per_step_reference(self):
+        rng = np.random.default_rng(12)
+        lstm = layers.Lstm(ParamStore(12), "l", 3, 4, 2)
+        weights = [w.data for w in lstm.ws]
+        biases = [rng.uniform(-0.2, 0.2, b.data.shape) for b in lstm.bs]
+        x = rng.standard_normal((7, 3))
+        y, caches = layers.lstm_seq_forward(x, weights, biases)
+        g = rng.standard_normal(y.shape)
+        dx, dws, dbs = layers.lstm_seq_backward(g, caches, weights)
+        # backprop through time one step and one gate at a time
+        dh_seq, ref_dws, ref_dbs = g, [], []
+        for cache, wl in zip(reversed(caches), reversed(weights)):
+            din, hid = cache["din"], cache["hid"]
+            i_, f_, g_, o_, tc = (cache[k] for k in ("i", "f", "g", "o", "tc"))
+            dgates = np.zeros((len(x), 4 * hid))
+            dh_rec, dc_rec = np.zeros(hid), np.zeros(hid)
+            for t in reversed(range(len(x))):
+                dh = dh_seq[t] + dh_rec
+                dc = dc_rec + dh * o_[t] * (1.0 - tc[t] ** 2)
+                dgates[t] = np.concatenate([dc * g_[t] * i_[t] * (1.0 - i_[t]),
+                                            dc * cache["c_prev"][t] * f_[t] * (1.0 - f_[t]),
+                                            dc * i_[t] * (1.0 - g_[t] ** 2),
+                                            dh * tc[t] * o_[t] * (1.0 - o_[t])])
+                dc_rec = dc * f_[t]
+                dh_rec = wl[:, din:].T @ dgates[t]
+            ref_dws.insert(0, dgates.T @ np.concatenate([cache["inp"], cache["h_prev"]], axis=1))
+            ref_dbs.insert(0, dgates.sum(axis=0))
+            dh_seq = dgates @ wl[:, :din]
+        for got, want in zip([dx, *dws, *dbs], [dh_seq, *ref_dws, *ref_dbs]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
     def test_truncation_reproduces_prefix(self):
         rng = np.random.default_rng(11)
         lstm = layers.Lstm(ParamStore(11), "l", 3, 5, 3)
@@ -272,6 +303,46 @@ class TestGradients:
         err, ok = gradcheck.fd_compare(
             lambda: ad.sum_all(ad.mul(lin(x), Tensor(probe))), [lin.w, lin.b, x])
         assert ok, err
+
+
+_TB = layers.TIME_BLOCK
+
+
+class TestConvAdjoint:
+    """Each conv op is linear in x and in w, so its backward must be the exact
+    adjoint: <dx, u> = <g, op(u, w, 0)> and <dW, v> = <g, op(x, v, 0)> up to
+    rounding, across time blocks and with trimmed or zero-padded bins."""
+
+    CASES = {
+        "conv1d_k3_d2": (lambda x, w, b: layers.conv1d_op(x, w, b, 2), (3, 11), (4, 3, 3)),
+        "conv2d_k2x5_s2": (lambda x, w, b: layers.conv2d_op(x, w, b, 2, 2),
+                           (3, 2 * _TB + 5, 17), (4, 3, 2, 5)),
+        "conv2d_k2x3_s1": (lambda x, w, b: layers.conv2d_op(x, w, b, 1, 1),
+                           (3, 2 * _TB + 5, 17), (4, 3, 2, 3)),
+        "deconv_k2x3_trim": (lambda x, w, b: layers.conv_transpose2d_op(x, w, b, 2, 1, 8),
+                             (3, 2 * _TB + 5, 5), (4, 3, 2, 3)),
+        "deconv_k2x5_zero_pad": (lambda x, w, b: layers.conv_transpose2d_op(x, w, b, 2, 2, 12),
+                                 (3, 2 * _TB + 5, 5), (4, 3, 2, 5)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_backward_is_the_adjoint(self, name):
+        op, x_shape, w_shape = self.CASES[name]
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+        w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
+        b = Tensor(rng.standard_normal(w_shape[0]), requires_grad=True)
+        y = op(x, w, b)
+        g = rng.standard_normal(y.data.shape)
+        y.backward(g)
+        zero = Tensor(np.zeros(w_shape[0]))
+        u, v = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+        for grad, probe, image in ((x.grad, u, op(Tensor(u), w, zero).data),
+                                   (w.grad, v, op(x, Tensor(v), zero).data)):
+            got, want = np.vdot(grad, probe), np.vdot(g, image)
+            scale = np.vdot(np.abs(g), np.abs(image))
+            assert abs(got - want) <= 1e-12 * scale, (got, want)
+        np.testing.assert_allclose(b.grad, g.reshape(w_shape[0], g.shape[1], -1).sum(axis=(1, 2)))
 
 
 class TestDeterminismAndInit:
@@ -376,8 +447,9 @@ class TestCheckpoint:
         assert first.read_bytes() == second.read_bytes()
 
     def test_tiny_checkpoint_layout_pinned(self, tmp_path):
-        # names, shapes and order of every tensor, and the whole seed-0 file,
-        # as written before the gated pairs were stacked
+        # names, shapes and order of every tensor, as written before the gated
+        # pairs were stacked, and the whole seed-0 file since the residual
+        # branches' pw_out init was scaled by 1/sqrt(stack depth)
         store = model.Enhancer(model.ModelConfig.tiny(), seed=0).store
         table = [[n, list(t.data.shape)] for n, t in store.params.items()]
         table += [[n, list(a.shape)] for n, a in store.buffers.items()]
@@ -387,7 +459,7 @@ class TestCheckpoint:
         path = tmp_path / "tiny.ckpt"
         store.save(path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "ef8a180239e2da19abf3af385bffbe6989f2818c48898b06d83238f12f804604"
+        assert digest == "00a75b526e4b846ebdf772fde0bb5b554eaef34bc23092c5c4f00c4896dce8b0"
 
 
 _JSON = st.recursive(

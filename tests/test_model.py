@@ -4,6 +4,7 @@ accounting, end-to-end contracts."""
 import numpy as np
 import pytest
 
+from fbse import autodiff as ad
 from fbse import dsp, layers, model
 from fbse.autodiff import Tensor
 from fbse.errors import ConfigError, NonFiniteInputError, ShapeMismatchError
@@ -52,6 +53,47 @@ class TestGatedTcnStack:
         y1 = stack(Tensor(x2)).data
         assert np.array_equal(y0[:, :25], y1[:, :25])
         assert not np.array_equal(y0[:, 25:], y1[:, 25:])
+
+
+class TestResidualStackInit:
+    def test_default_stack_outputs_stay_order_one(self, monkeypatch):
+        # each residual branch's pw_out starts at 1/sqrt(stack depth) of the
+        # Kaiming bound; with the plain bound the rms grew ~1.4x per block
+        # (mag_tcn 461, band_tcn 8.6e5 at this seed)
+        from fbse import training
+
+        m = model.Enhancer(model.ModelConfig.default(), seed=0)
+        noisy, clean = training.synthetic_pair(seconds=1.0, seed=0)
+        noisy_pairs, _ = training.spectra_pair(m, noisy, clean)
+        rms = {}
+
+        class Done(Exception):
+            pass
+
+        for name in ("mag_tcn", "band_tcn"):
+            module = getattr(m, name)
+
+            def record(*args, _name=name, _module=module):
+                out = _module(*args)
+                rms[_name] = float(np.sqrt(np.mean(out.data ** 2)))
+                if _name == "band_tcn":
+                    raise Done  # the mask head and stage 2 are not needed
+                return out
+
+            monkeypatch.setattr(m, name, record)
+        with ad.no_grad(), pytest.raises(Done):
+            m.enhance_spectra(noisy_pairs)
+        assert set(rms) == {"mag_tcn", "band_tcn"}
+        assert rms["mag_tcn"] <= 10.0 and rms["band_tcn"] <= 10.0, rms
+
+    def test_branch_gain_scales_only_pw_out(self):
+        cfg = model.MagTcnConfig(groups=2, per_group=2, dilations=(1, 2), feature_dim=6,
+                                 hidden_dim=6)
+        stack = model.GatedTcnStack(ParamStore(3), "g", cfg, in_dim=6)
+        kaiming = np.sqrt(6.0 / 6)
+        for blk in stack.blocks:
+            assert np.abs(blk.pw_out.w.data).max() <= kaiming / 2.0  # depth 4
+            assert np.abs(blk.pw_in.w.data).max() > kaiming / 2.0
 
 
 class TestRecurrentUnet:

@@ -323,6 +323,45 @@ class TestTrainingStep:
                    for name, before in stage2_before.items())
 
 
+class TestWholeModelGradient:
+    def test_directional_derivative_matches_central_difference(self):
+        # the loss of training_step before its Adam update, along one random
+        # direction of every parameter, at gradcheck's tolerance. The step is
+        # smaller than gradcheck's per-element FD_STEP: a step of 1e-5 along all
+        # parameters at once moves some PReLU input across its kink (FD off by
+        # 5e-4), while at 1e-7 the truncation and rounding errors stay near 1e-9.
+        from fbse.gradcheck import ABS_ESCAPE, REL_TOL
+
+        step = 1e-7
+
+        m = model.Enhancer(model.ModelConfig.tiny(), seed=5)
+        noisy, clean = training.synthetic_pair(seconds=0.25, seed=5)
+        noisy_pairs, ref_pairs = training.spectra_pair(m, noisy, clean)
+        params = list(m.store.params.values())
+        loss_cfg = training.LossConfig()
+
+        def loss():
+            stage = m.enhance_spectra(noisy_pairs, training=True)
+            est = [training.decompress_op(r, i, m.cfg.compression) for r, i in stage.enhanced]
+            return training.cmse_loss_op(est, ref_pairs, loss_cfg)
+
+        m.store.zero_grads()
+        loss().backward()
+        rng = np.random.default_rng(5)
+        dirs = [rng.standard_normal(p.data.shape) for p in params]
+        analytic = sum(float(np.sum(p.grad * d)) for p, d in zip(params, dirs))
+        values = []
+        for sign in (1.0, -1.0):
+            for p, d in zip(params, dirs):
+                p.data += sign * step * d
+            values.append(float(loss().data))
+            for p, d in zip(params, dirs):
+                p.data -= sign * step * d
+        fd = (values[0] - values[1]) / (2 * step)
+        assert abs(analytic - fd) <= max(REL_TOL * max(abs(analytic), abs(fd)), ABS_ESCAPE), \
+            (analytic, fd)
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         records = [training.MixtureSpec("clean/a.wav", "noise/b.wav", -5.0, 7),
