@@ -70,11 +70,12 @@ class Tensor:
         order = _toposort(self)
         self.accumulate_grad(grad)
         for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
-            if node is not self:
-                node._release()
-        self._release()
+            fn = node._backward_fn
+            node._release()
+            if fn is not None and node.grad is not None:
+                fn(node.grad)
+            if fn is not None and node is not self:  # an intermediate: its gradient is spent
+                node.grad = None
         self._spent = True
 
     def _release(self):
@@ -97,6 +98,10 @@ def _toposort(root):
             if id(p) not in visited:
                 stack.append((p, False))
     return order
+
+
+def grad_enabled() -> bool:
+    return _grad_enabled[-1]
 
 
 def recording(parents) -> bool:
@@ -187,12 +192,17 @@ def tanh(x: Tensor) -> Tensor:
     return make_node(y, (x,), bw)
 
 
+def prelu_array(x, alpha):
+    """``max(x,0) + alpha*min(x,0)``, ``alpha`` (C,) over x's leading axis (the last of ``x.T``)."""
+    y = np.minimum(x, 0.0)
+    np.multiply(y.T, alpha, out=y.T)
+    y += np.maximum(x, 0.0)
+    return y
+
+
 def prelu(x: Tensor, alpha: Tensor) -> Tensor:
     """Per-channel PReLU; alpha has shape (C,) matching x's leading axis."""
     xd = x.data
-    slope = alpha.data.reshape((-1,) + (1,) * (xd.ndim - 1))
-    pos = xd > 0
-    y = np.where(pos, xd, slope * xd)
 
     def bw(g):  # branch-free: a select on the sign of x costs ~15x a multiply
         if alpha.requires_grad:  # sum of min(x, 0) * g per channel
@@ -200,12 +210,13 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
             neg *= g
             alpha.accumulate_grad(neg.reshape(xd.shape[0], -1).sum(axis=1))
         if x.requires_grad:  # g times 1 where x > 0, else slope
-            dx = np.multiply(pos, 1.0 - slope)
+            slope = alpha.data.reshape((-1,) + (1,) * (xd.ndim - 1))
+            dx = np.multiply(xd > 0, 1.0 - slope)
             dx += slope
             dx *= g
             x.accumulate_grad(dx)
 
-    return make_node(y, (x, alpha), bw)
+    return make_node(prelu_array(xd, alpha.data), (x, alpha), bw)
 
 
 def concat(parts, axis=0, data=None) -> Tensor:

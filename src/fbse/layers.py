@@ -3,21 +3,23 @@ multi-layer LSTM, linear, PReLU, per-channel affine.
 
 Every layer has a whole-sequence ``__call__(Tensor) -> Tensor`` that records
 the reverse-mode tape (see :mod:`fbse.autodiff`), and ``init_state()`` /
-``step(state, frame)`` on plain arrays for the streaming runtime. Causal
-layers cache exactly ``(kernel-1)*dilation`` past frames.
+``step(state, frame)`` on plain arrays for the streaming runtime.
 
-A 2-D conv layer has one chunk kernel ``(x [Cin,T,F], cache [Cin,Kt-1,F]) ->
-(y, cache)``: a GEMM of the ``[Cout, Cin*Kt*Kf]`` weight with im2col columns
-(``conv2d_chunk``), or of the ``[Cout*Kf, Cin*Kt]`` weight with time-reversed
-windows and then ``Kf`` strided adds (``conv_transpose2d_chunk``), once per
-block of ``TIME_BLOCK`` frames, so the columns stay a few MB at any length.
-The whole-sequence forward is the chunk from a zero cache, ``chunk(state, x)``
-continues a stream and ``step`` is its T=1 case. The tape's backward walks the
-same blocks with one column buffer per call: a conv's input gradient is the
-deconv's GEMM and ``Kf`` adds applied to ``g``, a deconv's is a strided conv of
-``g`` whose columns also give its weight gradient. ``ConvTranspose2d``
-stores its weight in step order ``[Cout, Kf, Cin, Kt]`` behind the logical
-``[Cout, Cin, Kt, Kf]`` view, so its matrix is a free reshape.
+Every conv and LSTM layer has one chunk kernel, ``(x, state) -> (y, state)``
+over frames that follow those already seen: ``__call__`` runs it from a zero
+state, ``chunk(state, x)`` continues a stream and ``step`` is its T=1 case.
+``lstm_chunk`` makes one input GEMM per chunk and one recurrent GEMV per
+frame. A conv caches exactly the ``(kernel-1)*dilation`` past frames it reads
+and makes one GEMM per block of ``TIME_BLOCK`` frames, over strided views of
+``[cache; x]`` (built by the ``np.ndarray`` constructor; ``as_strided`` costs
+five Python calls): the ``[Cout, Cin*K]`` weight times im2col columns, dilated
+in time (``conv1d_chunk``; kernel 1 multiplies ``x`` itself) or strided in
+frequency (``conv2d_chunk``), or the ``[Cout*Kf, Cin*Kt]`` weight, stored in
+that order, times time-reversed windows and then ``Kf`` strided adds
+(``conv_transpose2d_chunk``). The backward walks the same blocks: the input
+gradient of a 1-D conv is one ``W^T g`` GEMM and ``K`` shifted adds, of a 2-D
+conv the deconv's GEMM and adds on ``g``, of a deconv a strided conv of ``g``
+whose columns also give dW.
 
 :func:`stacked` layers (gated pairs, the mask-head planes) own one weight and
 bias whose row blocks are the parts' registered tensors. An unregistered
@@ -29,54 +31,73 @@ Feature layouts: 1-D ``[C, T]``, 2-D ``[C, T, F]``, recurrent ``[T, D]``.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
-from .autodiff import Tensor, logistic, make_node
+from .autodiff import Tensor, logistic, make_node, prelu_array
 from .errors import ShapeMismatchError
 from .params import ParamStore
 
-TIME_BLOCK = 32  # frames per im2col block of the 2-D conv kernels
+TIME_BLOCK = 32  # frames per im2col block of the conv kernels
 
 
 # ---------------------------------------------------------------------------
 # dilated causal 1-D convolution
 
 
-def conv1d_forward(x, w, b, dilation):
-    """x [Cin,T], w [Cout,Cin,K] -> y [Cout,T]; causal left padding."""
+def _conv1d_cols(x, cache, k, d):
+    """``xp`` = ``[cache; x]`` and its dilated im2col, the ``[Cin, K, T]`` view
+    of ``xp`` whose ``[c, i, t]`` is ``xp[c, t + i*d]``."""
+    xp = np.concatenate([cache, x], axis=1)
+    sc, st = xp.strides
+    return xp, np.ndarray((x.shape[0], k, x.shape[1]), xp.dtype, xp, 0, (sc, d * st, st))
+
+
+def conv1d_chunk(x, cache, w, b, d):
+    """x [Cin,T] following ``cache`` [Cin,(K-1)*d], w [Cout,Cin,K] -> (y [Cout,T],
+    next cache): per time block, one GEMM of the ``[Cout, Cin*K]`` weight with
+    :func:`_conv1d_cols`. For K=1 the columns are ``x`` and ``cache`` passes through."""
     cout, cin, k = w.shape
-    t = x.shape[1]
-    pad = (k - 1) * dilation
-    xp = np.pad(x, ((0, 0), (pad, 0)))
-    y = np.broadcast_to(b[:, None], (cout, t)).copy()
-    for i in range(k):
-        y += w[:, :, i] @ xp[:, i * dilation : i * dilation + t]
-    return y, xp
+    if k == 1:
+        y = w[:, :, 0] @ x
+    else:
+        (xp, taps), wmat, t = _conv1d_cols(x, cache, k, d), w.reshape(cout, -1), x.shape[1]
+        y = np.empty((cout, t), dtype=x.dtype)
+        for t0 in range(0, t, TIME_BLOCK):
+            blk = slice(t0, t0 + TIME_BLOCK)
+            np.matmul(wmat, taps[:, :, blk].reshape(cin * k, -1), out=y[:, blk])
+        cache = xp[:, t:]
+    y += b[:, None]
+    return y, cache
+
+
+def conv1d_forward(x, w, b, dilation):
+    """:func:`conv1d_chunk` from a zero cache."""
+    cache = np.zeros((x.shape[0], (w.shape[2] - 1) * dilation), dtype=x.dtype)
+    return conv1d_chunk(x, cache, w, b, dilation)
 
 
 def conv1d_op(x: Tensor, w: Tensor, b: Tensor, dilation: int) -> Tensor:
     if x.data.shape[0] != w.data.shape[1]:
         raise ShapeMismatchError(
             f"conv1d: input channels {x.data.shape[0]} != weight {w.data.shape[1]}")
-    y, xp = conv1d_forward(x.data, w.data, b.data, dilation)
-    wd = w.data
-    k = wd.shape[2]
-    t = x.data.shape[1]
-    pad = (k - 1) * dilation
+    y = conv1d_forward(x.data, w.data, b.data, dilation)[0]
+    xd, wd = x.data, w.data
 
-    def bw(g):
-        dw = np.empty_like(wd)
-        for i in range(k):
-            dw[:, :, i] = g @ xp[:, i * dilation : i * dilation + t].T
-        w.accumulate_grad(dw)
+    def bw(g):  # dW from the forward's columns, rebuilt; dx adds W^T g's K tap rows at their lags
+        (cout, cin, k), t = wd.shape, xd.shape[1]
+        pad = (k - 1) * dilation
+        taps = _conv1d_cols(xd, np.zeros((cin, pad), dtype=xd.dtype), k, dilation)[1]
+        dw = np.zeros((cout, cin * k), dtype=wd.dtype)
+        for t0 in range(0, t, TIME_BLOCK):
+            blk = slice(t0, t0 + TIME_BLOCK)
+            dw += g[:, blk] @ taps[:, :, blk].reshape(cin * k, -1).T
+        w.accumulate_grad(dw.reshape(wd.shape))
         b.accumulate_grad(g.sum(axis=1))
-        if x.requires_grad:  # tap i reads x from pad - i*dilation frames back
-            dx = wd[:, :, k - 1].T @ g
-            for i in range(k - 1):
-                lag = pad - i * dilation
-                if lag < t:
-                    dx[:, : t - lag] += wd[:, :, i].T @ g[:, lag:]
+        if x.requires_grad:  # tap i of output frame s read input frame s - (pad - i*d)
+            dtaps = (wd.reshape(cout, -1).T @ g).reshape(cin, k, t)
+            dx = dtaps[:, k - 1].copy()
+            for lag in range(pad, 0, -dilation):
+                dx[:, : max(t - lag, 0)] += dtaps[:, k - 1 - lag // dilation, lag:]
             x.accumulate_grad(dx)
 
     return make_node(y, (x, w, b), bw)
@@ -102,18 +123,16 @@ class Conv1d:
     def init_state(self, dtype=np.float64):
         return {"cache": np.zeros((self.cin, (self.kernel - 1) * self.dilation), dtype=dtype)}
 
-    def step(self, state, frame):
-        if self.kernel == 1:
-            return self.w.data[:, :, 0] @ frame + self.b.data
-        win = np.concatenate([state["cache"], frame[:, None]], axis=1)
-        taps = win[:, :: self.dilation].ravel()  # [Cin*K], same order as the weight rows
-        y = self.w.data.reshape(self.cout, -1) @ taps + self.b.data
-        state["cache"] = win[:, 1:]
+    def chunk(self, state, x):
+        """[Cin,T] frames that follow those already seen -> [Cout,T]; a kernel-1
+        layer keeps no cache, so its ``state`` may be None."""
+        y, c = conv1d_chunk(x, state and state["cache"], self.w.data, self.b.data, self.dilation)
+        if state:
+            state["cache"] = c
         return y
 
-    @property
-    def param_count(self):
-        return self.w.data.size + self.b.data.size
+    def step(self, state, frame):
+        return self.chunk(state, frame[:, None])[:, 0]
 
     @property
     def macs_per_frame(self):
@@ -122,11 +141,6 @@ class Conv1d:
 
 # ---------------------------------------------------------------------------
 # 2-D convolution: causal in time, strided/padded along frequency
-
-
-def _time_blocks(t):
-    for t0 in range(0, t, TIME_BLOCK):
-        yield t0, min(TIME_BLOCK, t - t0)
 
 
 def _copy_into(out, taps):
@@ -143,8 +157,7 @@ def _conv2d_cols(xp, t0, n, kt, kf, stride, out=None):
     cin, _, fp = xp.shape
     fo = (fp - kf) // stride + 1
     sc, st, sf = xp.strides
-    taps = as_strided(xp[:, t0:], (cin, kt, kf, n, fo), (sc, st, sf, st, stride * sf),
-                      writeable=False)
+    taps = np.ndarray((cin, kt, kf, n, fo), xp.dtype, xp, t0 * st, (sc, st, sf, st, stride * sf))
     return taps.reshape(-1, n * fo) if out is None else _copy_into(out, taps)
 
 
@@ -159,7 +172,8 @@ def conv2d_chunk(x, cache, w, b, stride, pad):
     xp[:, kt - 1 :, pad : pad + f] = x
     wmat = w.reshape(cout, -1)
     y = np.empty((cout, t * fo), dtype=x.dtype)
-    for t0, n in _time_blocks(t):
+    for t0 in range(0, t, TIME_BLOCK):
+        n = min(TIME_BLOCK, t - t0)
         yb = y[:, t0 * fo : (t0 + n) * fo]
         np.matmul(wmat, _conv2d_cols(xp, t0, n, kt, kf, stride), out=yb)
         yb += b[:, None]
@@ -200,7 +214,8 @@ def conv2d_op(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
             dx = np.zeros_like(xd)
             gcols = np.empty(cout * kt * block, dtype=g.dtype)
             dcols = np.empty(cin * kf * block, dtype=g.dtype)
-        for t0, n in _time_blocks(t):
+        for t0 in range(0, t, TIME_BLOCK):
+            n = min(TIME_BLOCK, t - t0)
             cols = _conv2d_cols(xp, t0, n, kt, kf, stride, out=xcols)
             dw += gm[:, t0 * fo : (t0 + n) * fo] @ cols.T
             if active:
@@ -264,7 +279,7 @@ def _deconv_cols(xp, t0, n, kt, out=None):
     row ``(c, i)`` and column ``(b, f)`` holding ``xp[c, t0+b+Kt-1-i, f]``."""
     cin, _, f = xp.shape
     sc, st, sf = xp.strides
-    taps = as_strided(xp[:, t0 + kt - 1 :], (cin, kt, n, f), (sc, -st, st, sf), writeable=False)
+    taps = np.ndarray((cin, kt, n, f), xp.dtype, xp, (t0 + kt - 1) * st, (sc, -st, st, sf))
     return taps.reshape(-1, n * f) if out is None else _copy_into(out, taps)
 
 
@@ -292,7 +307,8 @@ def conv_transpose2d_chunk(x, cache, w, b, stride, pad, out_freq):
     scatter = _deconv_scatter(f, kf, stride, pad, out_freq)
     y = np.empty((cout, t, out_freq), dtype=x.dtype)
     y[...] = b[:, None, None]
-    for t0, n in _time_blocks(t):
+    for t0 in range(0, t, TIME_BLOCK):
+        n = min(TIME_BLOCK, t - t0)
         contrib = (wmat @ _deconv_cols(xp, t0, n, kt)).reshape(cout, kf, n, f)
         for j, out_bins, in_bins in scatter:
             y[:, t0 : t0 + n, out_bins] += contrib[:, j, :, in_bins]
@@ -327,7 +343,8 @@ def conv_transpose2d_op(x: Tensor, w: Tensor, b: Tensor, stride, pad, out_freq) 
             wmat_t = wd.transpose(1, 0, 2, 3).reshape(cin, -1)
             dx = np.empty_like(xd)
         buf = np.empty(cout * kt * kf * min(TIME_BLOCK, t) * f, dtype=g.dtype)
-        for t0, n in _time_blocks(t):
+        for t0 in range(0, t, TIME_BLOCK):
+            n = min(TIME_BLOCK, t - t0)
             cols = _conv2d_cols(gp, t0, n, kt, kf, stride, out=buf)
             dw += cols @ xd[:, t0 : t0 + n].reshape(cin, -1).T
             if active:
@@ -465,7 +482,6 @@ class _Gated:
         return gate_halves(self.pair.step(state, frame))
 
 
-
 class GatedConv2d(_Gated):
     def __init__(self, store, name, cin, cout, kernel=(2, 3), stride=1, pad=None):
         super().__init__(Conv2d, store, name, cin, cout, kernel, stride, pad)
@@ -480,42 +496,14 @@ class GatedConvTranspose2d(_Gated):
 # instance normalization
 
 
-def instance_norm_op(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    """Per-channel zero-mean/unit-variance over all non-channel axes, then affine."""
-    xd = x.data
-    axes = tuple(range(1, xd.ndim))
-    mu = xd.mean(axis=axes, keepdims=True)
-    var = xd.var(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xh = (xd - mu) * inv
-    gshape = (-1,) + (1,) * (xd.ndim - 1)
-    y = gamma.data.reshape(gshape) * xh + beta.data.reshape(gshape)
-    n = int(np.prod([xd.shape[a] for a in axes]))
-
-    def bw(g):
-        # dx = gamma * inv * (g - mean(g) - xh * mean(g * xh)), in one buffer
-        tmp = np.multiply(g, xh)
-        g_xh = tmp.sum(axis=axes, keepdims=True)
-        g_sum = g.sum(axis=axes, keepdims=True)
-        gamma.accumulate_grad(g_xh.reshape(-1))
-        beta.accumulate_grad(g_sum.reshape(-1))
-        if x.requires_grad:
-            dx = np.multiply(xh, g_xh / -n, out=tmp)
-            dx += g
-            dx -= g_sum / n
-            dx *= gamma.data.reshape(gshape) * inv
-            x.accumulate_grad(dx)
-
-    return make_node(y, (x, gamma, beta), bw)
-
-
 class InstanceNorm:
-    """Utterance statistics while training; frozen running statistics at
-    inference (the streaming path is strictly causal and per-frame)."""
+    """Per-channel zero-mean/unit-variance over all non-channel axes, then
+    affine: by the utterance's statistics while training, which also update
+    the running ones, and by the frozen running statistics at inference (the
+    streaming path is strictly causal and per-frame)."""
 
     def __init__(self, store, name, channels, eps=1e-5, decay=0.99):
         self.name = name
-        self.channels = channels
         self.eps = eps
         self.decay = decay
         self.gamma = store.add_full(f"{name}.gamma", (channels,), 1.0)
@@ -524,39 +512,59 @@ class InstanceNorm:
         self.run_var = store.add_buffer(f"{name}.run_var", (channels,), 1.0)
 
     def __call__(self, x: Tensor, training=False) -> Tensor:
-        if training:
-            axes = tuple(range(1, x.data.ndim))
-            self.run_mean *= self.decay
-            self.run_mean += (1 - self.decay) * x.data.mean(axis=axes)
-            self.run_var *= self.decay
-            self.run_var += (1 - self.decay) * x.data.var(axis=axes)
-            return instance_norm_op(x, self.gamma, self.beta, self.eps)
-        return self._frozen_affine(x)
+        if not training:
+            return self._frozen_affine(x)
+        xd, gamma, beta = x.data, self.gamma, self.beta
+        axes = tuple(range(1, xd.ndim))
+        mu = xd.mean(axis=axes, keepdims=True)
+        var = xd.var(axis=axes, keepdims=True)
+        for run, stat in ((self.run_mean, mu), (self.run_var, var)):
+            run *= self.decay
+            run += (1 - self.decay) * stat.reshape(-1)
+        inv = 1.0 / np.sqrt(var + self.eps)
+        xh = (xd - mu) * inv
+        gshape = (-1,) + (1,) * (xd.ndim - 1)
+        y = gamma.data.reshape(gshape) * xh + beta.data.reshape(gshape)
+        n = xd.size // xd.shape[0]
 
-    def _frozen(self, ndim):
-        """Per-channel ``1/std``, scale and offset of the frozen affine, for ``ndim``-D input."""
-        gshape = (-1,) + (1,) * (ndim - 1)
+        def bw(g):
+            # dx = gamma * inv * (g - mean(g) - xh * mean(g * xh)), in one buffer
+            tmp = np.multiply(g, xh)
+            g_xh = tmp.sum(axis=axes, keepdims=True)
+            g_sum = g.sum(axis=axes, keepdims=True)
+            gamma.accumulate_grad(g_xh.reshape(-1))
+            beta.accumulate_grad(g_sum.reshape(-1))
+            if x.requires_grad:
+                dx = np.multiply(xh, g_xh / -n, out=tmp)
+                dx += g
+                dx -= g_sum / n
+                dx *= gamma.data.reshape(gshape) * inv
+                x.accumulate_grad(dx)
+
+        return make_node(y, (x, gamma, beta), bw)
+
+    def _frozen(self):
+        """Per-channel ``1/std``, scale and offset of the frozen affine (``x.T``'s last axis)."""
         inv = 1.0 / np.sqrt(self.run_var + self.eps)
-        off = self.beta.data - self.gamma.data * inv * self.run_mean
-        return inv.reshape(gshape), (self.gamma.data * inv).reshape(gshape), off.reshape(gshape)
+        return inv, self.gamma.data * inv, self.beta.data - self.gamma.data * inv * self.run_mean
 
     def _frozen_affine(self, x: Tensor):
         gamma, beta, run_mean = self.gamma, self.beta, self.run_mean
         xd = x.data
-        inv, w, off = self._frozen(xd.ndim)
+        inv, w, off = self._frozen()
 
         def bw(g):
             axes = tuple(range(1, xd.ndim))
             if x.requires_grad:
-                x.accumulate_grad(g * w)
-            gamma.accumulate_grad((g * (xd - run_mean.reshape(inv.shape)) * inv).sum(axis=axes))
+                x.accumulate_grad((g.T * w).T)
+            gamma.accumulate_grad((g.T * (xd.T - run_mean) * inv).T.sum(axis=axes))
             beta.accumulate_grad(g.sum(axis=axes))
 
-        return make_node(w * xd + off, (x, gamma, beta), bw)
+        return make_node((xd.T * w + off).T, (x, gamma, beta), bw)
 
     def step(self, state, frame):
-        _, w, off = self._frozen(frame.ndim)
-        return w * frame + off
+        _, w, off = self._frozen()
+        return (frame.T * w + off).T
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +580,7 @@ class PReLU:
         return ad.prelu(x, self.alpha)
 
     def step(self, state, frame):
-        slope = self.alpha.data.reshape((-1,) + (1,) * (frame.ndim - 1))
-        return np.where(frame > 0, frame, slope * frame)
+        return prelu_array(frame, self.alpha.data)
 
 
 # ---------------------------------------------------------------------------
@@ -612,18 +619,16 @@ class Linear:
 
 
 def channel_affine_op(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    gshape = (-1,) + (1,) * (x.data.ndim - 1)
-    xd = x.data
-    ws = w.data.reshape(gshape)
+    xd = x.data  # the per-channel vectors broadcast over the last axis of x.T
 
     def bw(g):
         axes = tuple(range(1, xd.ndim))
         if x.requires_grad:
-            x.accumulate_grad(g * ws)
+            x.accumulate_grad((g.T * w.data).T)
         w.accumulate_grad((g * xd).sum(axis=axes))
         b.accumulate_grad(g.sum(axis=axes))
 
-    return make_node(ws * xd + b.data.reshape(gshape), (x, w, b), bw)
+    return make_node((xd.T * w.data + b.data).T, (x, w, b), bw)
 
 
 class ChannelAffine:
@@ -631,7 +636,6 @@ class ChannelAffine:
 
     def __init__(self, store, name, channels):
         self.name = name
-        self.channels = channels
         self.w = store.add(f"{name}.weight", (channels,), uniform_bound=1.0)
         self.b = store.add(f"{name}.bias", (channels,), zero=True)
 
@@ -639,44 +643,49 @@ class ChannelAffine:
         return channel_affine_op(x, self.w, self.b)
 
     def step(self, state, frame):
-        gshape = (-1,) + (1,) * (frame.ndim - 1)
-        return self.w.data.reshape(gshape) * frame + self.b.data.reshape(gshape)
+        return (frame.T * self.w.data + self.b.data).T
 
 
 # ---------------------------------------------------------------------------
 # multi-layer LSTM
 
 
-def lstm_seq_forward(x, weights, biases):
-    """x [T, D] through stacked LSTM layers; returns (y [T, H], caches)."""
-    caches = []
-    inp = x
-    for wl, bl in zip(weights, biases):
-        h4 = bl.shape[0]
-        hid = h4 // 4
-        din = wl.shape[1] - hid
-        t = inp.shape[0]
-        wx, wh = wl[:, :din], wl[:, din:]
-        gates_x = inp @ wx.T + bl
-        h = np.zeros(hid, dtype=x.dtype)
-        c = np.zeros(hid, dtype=x.dtype)
-        arr = lambda: np.zeros((t, hid), dtype=x.dtype)
-        hs, h_prev, c_prev, iv, fv, gv, ov, tc = (arr() for _ in range(8))
+def lstm_chunk(x, state, weights, biases, caches=None):
+    """x [T, D] following the frames that left ``state`` = (h [L, H], c [L, H])
+    -> y [T, H], advancing h and c in place. Per layer: one input GEMM, then per
+    frame one recurrent GEMV whose gate activations overwrite the pre-activations.
+    A ``caches`` list receives each layer's record for :func:`lstm_seq_backward`."""
+    for l, (wl, bl) in enumerate(zip(weights, biases)):
+        t, hid = x.shape[0], bl.shape[0] // 4
+        wh, acts = wl[:, -hid:], x @ wl[:, :-hid].T + bl  # acts [T, 4H]: i, f, g, o
+        hs = np.empty((t + 1, hid), dtype=x.dtype)  # row 0 is the carried h
+        hs[0], c = state[0][l], state[1][l]
+        cs = None if caches is None else np.repeat(c[None], t + 1, axis=0)  # c after frame ti-1
         for ti in range(t):
-            gate = gates_x[ti] + wh @ h
-            sig = logistic(gate)
-            i_, f_, o_ = sig[:hid], sig[hid : 2 * hid], sig[3 * hid :]
-            g_ = np.tanh(gate[2 * hid : 3 * hid])
-            h_prev[ti], c_prev[ti] = h, c
-            c = f_ * c + i_ * g_
-            tc_ = np.tanh(c)
-            h = o_ * tc_
-            hs[ti] = h
-            iv[ti], fv[ti], gv[ti], ov[ti], tc[ti] = i_, f_, g_, o_, tc_
-        caches.append({"inp": inp, "hs": hs, "h_prev": h_prev, "c_prev": c_prev,
-                       "i": iv, "f": fv, "g": gv, "o": ov, "tc": tc, "din": din, "hid": hid})
-        inp = hs
-    return inp, caches
+            a = acts[ti]
+            a += wh @ hs[ti]
+            g = np.tanh(a[2 * hid : 3 * hid])
+            logistic(a, out=a)
+            a[2 * hid : 3 * hid] = g
+            c = a[hid : 2 * hid] * c + a[:hid] * g
+            np.multiply(a[3 * hid :], np.tanh(c), out=hs[ti + 1])
+            if cs is not None:
+                cs[ti + 1] = c
+        state[0][l], state[1][l] = hs[t], c
+        if caches is not None:
+            caches.append({"inp": x, "h_prev": hs[:-1], "c_prev": cs[:-1], "tc": np.tanh(cs[1:]),
+                           "din": wl.shape[1] - hid, "hid": hid,
+                           **{k: acts[:, j * hid : (j + 1) * hid] for j, k in enumerate("ifgo")}})
+        x = hs[1:]
+    return x
+
+
+def lstm_seq_forward(x, weights, biases):
+    """:func:`lstm_chunk` from a zero state -> (y [T, H], its tape caches, or
+    None with gradients off)."""
+    state = np.zeros((2, len(weights), biases[0].shape[0] // 4), dtype=x.dtype)
+    caches = [] if ad.grad_enabled() else None
+    return lstm_chunk(x, state, weights, biases, caches), caches
 
 
 def lstm_seq_backward(g_out, caches, weights):
@@ -684,8 +693,7 @@ def lstm_seq_backward(g_out, caches, weights):
     dws, dbs = [], []
     dh_seq = g_out
     for cache, wl in zip(reversed(caches), reversed(weights)):
-        din, hid = cache["din"], cache["hid"]
-        inp = cache["inp"]
+        inp, din, hid = cache["inp"], cache["din"], cache["hid"]
         t = inp.shape[0]
         wh_t = wl[:, din:].T
         iv, fv, gv, ov, tc = cache["i"], cache["f"], cache["g"], cache["o"], cache["tc"]
@@ -698,8 +706,7 @@ def lstm_seq_backward(g_out, caches, weights):
         dgates = np.empty((t, 4 * hid), dtype=inp.dtype)
         dg_cell = dgates[:, : 3 * hid].reshape(t, 3, hid)
         dg_o = dgates[:, 3 * hid :]
-        dh_rec = np.zeros(hid, dtype=inp.dtype)
-        dc_rec = np.zeros(hid, dtype=inp.dtype)
+        dh_rec, dc_rec = np.zeros((2, hid), dtype=inp.dtype)
         for ti in range(t - 1, -1, -1):
             dh = dh_seq[ti] + dh_rec
             dc = dh * dc_dh[ti]
@@ -708,8 +715,7 @@ def lstm_seq_backward(g_out, caches, weights):
             np.multiply(dh_o[ti], dh, out=dg_o[ti])
             dc_rec = dc * fv[ti]
             dh_rec = wh_t @ dgates[ti]
-        cat = np.concatenate([inp, cache["h_prev"]], axis=1)
-        dws.append(dgates.T @ cat)
+        dws.append(dgates.T @ np.concatenate([inp, cache["h_prev"]], axis=1))
         dbs.append(dgates.sum(axis=0))
         dh_seq = dgates @ wl[:, :din]
     return dh_seq, list(reversed(dws)), list(reversed(dbs))
@@ -720,7 +726,7 @@ class Lstm:
 
     def __init__(self, store, name, din, hidden, layers):
         self.name = name
-        self.din, self.hidden, self.layers = din, hidden, layers
+        self.hidden, self.layers = hidden, layers
         bound = 1.0 / np.sqrt(hidden)
         self.ws, self.bs = [], []
         for l in range(layers):
@@ -731,43 +737,29 @@ class Lstm:
             self.bs.append(store.add(f"{name}.l{l}.bias", (4 * hidden,), zero=True))
 
     def __call__(self, x: Tensor) -> Tensor:
-        weights = [w.data for w in self.ws]
-        biases = [b.data for b in self.bs]
-        y, caches = lstm_seq_forward(x.data, weights, biases)
         ws, bs = self.ws, self.bs
+        weights = [w.data for w in ws]
+        y, caches = lstm_seq_forward(x.data, weights, [b.data for b in bs])
 
         def bw(g):
             dx, dws, dbs = lstm_seq_backward(g, caches, weights)
-            if x.requires_grad:
-                x.accumulate_grad(dx)
-            for wt, dw in zip(ws, dws):
-                wt.accumulate_grad(dw)
-            for bt, db in zip(bs, dbs):
-                bt.accumulate_grad(db)
+            x.accumulate_grad(dx)
+            for p, dp in zip(ws + bs, dws + dbs):
+                p.accumulate_grad(dp)
 
         return make_node(y, (x, *ws, *bs), bw)
 
     def init_state(self, dtype=np.float64):
-        return {"h": np.zeros((self.layers, self.hidden), dtype=dtype),
-                "c": np.zeros((self.layers, self.hidden), dtype=dtype)}
+        return dict(zip("hc", np.zeros((2, self.layers, self.hidden), dtype=dtype)))
+
+    def chunk(self, state, x):
+        """[T, D] frames that follow those already seen -> [T, H]."""
+        return lstm_chunk(x, (state["h"], state["c"]), [w.data for w in self.ws],
+                          [b.data for b in self.bs])
 
     def step(self, state, vec):
-        hid = self.hidden
-        inp = vec
-        for l in range(self.layers):
-            gate = self.ws[l].data @ np.concatenate([inp, state["h"][l]]) + self.bs[l].data
-            sig = logistic(gate)
-            i_, f_, o_ = sig[:hid], sig[hid : 2 * hid], sig[3 * hid :]
-            g_ = np.tanh(gate[2 * hid : 3 * hid])
-            state["c"][l] = f_ * state["c"][l] + i_ * g_
-            state["h"][l] = o_ * np.tanh(state["c"][l])
-            inp = state["h"][l]
-        return inp.copy()
+        return self.chunk(state, vec[None])[0]
 
     @property
     def macs_per_frame(self):
-        total = 0
-        for l in range(self.layers):
-            d = self.din if l == 0 else self.hidden
-            total += 4 * self.hidden * (d + self.hidden)
-        return total
+        return sum(w.data.size for w in self.ws)

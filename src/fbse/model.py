@@ -233,8 +233,6 @@ class GatedTcnBlock:
             hid, hid, cfg.kernel, dilation)
         self.act_mid = PReLU(store, f"{name}.act_mid", hid)
         self.pw_out = Conv1d(store, f"{name}.pw_out", hid, feat, 1, gain=_branch_gain(depth))
-        self.dilation = dilation
-        self.kernel = cfg.kernel
 
     def __call__(self, x: Tensor) -> Tensor:
         h = self.act_in(self.pw_in(x))
@@ -266,7 +264,7 @@ class GatedTcnStack:
     @property
     def receptive_field(self) -> int:
         """Frames seen by the final output: 1 + sum of (k-1)*d over blocks."""
-        return 1 + sum((b.kernel - 1) * b.dilation for b in self.blocks)
+        return 1 + sum((b.dil.kernel - 1) * b.dil.dilation for b in self.blocks)
 
     def __call__(self, x: Tensor) -> Tensor:
         h = self.in_proj(x)
@@ -403,7 +401,6 @@ class TcnBlock:
         self.dil = Conv1d(store, f"{name}.dil", dim, dim, kernel, dilation)
         self.act_mid = PReLU(store, f"{name}.act_mid", dim)
         self.pw_out = Conv1d(store, f"{name}.pw_out", dim, dim, 1, gain=_branch_gain(depth))
-        self.kernel, self.dilation = kernel, dilation
 
     def __call__(self, x: Tensor) -> Tensor:
         h = self.act_mid(self.dil(self.act_in(self.pw_in(x))))

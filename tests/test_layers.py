@@ -361,9 +361,8 @@ class TestDeterminismAndInit:
 
     def test_param_count_arithmetic(self):
         store = ParamStore(0)
-        conv = layers.Conv1d(store, "c", 16, 32, kernel=3)
-        assert conv.param_count == 3 * 16 * 32 + 32
-        assert store.total_count == conv.param_count
+        layers.Conv1d(store, "c", 16, 32, kernel=3)
+        assert store.total_count == 3 * 16 * 32 + 32
 
     def test_init_order_independent(self):
         s1 = ParamStore(7)

@@ -158,7 +158,40 @@ CHUNK_LAYERS = {
     "gated-conv2d": (lambda s: layers.GatedConv2d(s, "g", 3, 4, (2, 5), stride=2), 3, 17),
     "gated-deconv": (lambda s: layers.GatedConvTranspose2d(s, "g", 3, 4, (2, 3), out_freq=8),
                      3, 5),
+    "conv1d-kernel1": (lambda s: OneBin(layers.Conv1d(s, "c", 3, 4, kernel=1)), 3, 1),
+    # its 32-frame cache outlives every chunk
+    "conv1d-k3-d16": (lambda s: OneBin(layers.Conv1d(s, "c", 3, 4, kernel=3, dilation=16)), 3, 1),
+    # the stacked [lin; gate] pair, before gating
+    "gated-tcn-dil-pair": (lambda s: OneBin(model.GatedTcnBlock(
+        s, "b", model.MagTcnConfig(feature_dim=3, hidden_dim=4), dilation=5, depth=1).dil), 4, 1),
+    "lstm-2layer": (lambda s: OneBin(layers.Lstm(s, "l", 3, 5, 2), time_first=True), 3, 1),
 }
+
+
+class OneBin:
+    """A 1-D ``[C, T]`` or recurrent ``[T, D]`` layer seen as a 2-D layer on one
+    frequency bin, ``[C, T, 1]``: its own ``__call__``, ``step`` and ``chunk`` run."""
+
+    def __init__(self, layer, time_first=False):
+        self.layer, self.time_first = layer, time_first
+
+    def _to(self, x):
+        return x[..., 0].T if self.time_first else x[..., 0]
+
+    def _from(self, y):
+        return (y.T if self.time_first else y)[..., None]
+
+    def __call__(self, x):
+        return Tensor(self._from(self.layer(Tensor(self._to(x.data))).data))
+
+    def init_state(self, freq):
+        return self.layer.init_state()
+
+    def step(self, state, frame):
+        return self.layer.step(state, frame[:, 0])[:, None]
+
+    def chunk(self, state, x):
+        return self._from(self.layer.chunk(state, self._to(x)))
 
 
 class TestChunkEquivalence:
