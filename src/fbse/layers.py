@@ -2,12 +2,15 @@
 multi-layer LSTM, linear, PReLU, per-channel affine.
 
 Every layer has a whole-sequence ``__call__(Tensor) -> Tensor`` that records
-the reverse-mode tape (see :mod:`fbse.autodiff`), and ``init_state()`` /
-``step(state, frame)`` on plain arrays for the streaming runtime.
+the reverse-mode tape (see :mod:`fbse.autodiff`), and ``step(state, frame)``
+on plain arrays for the streaming runtime.
 
-Every conv and LSTM layer has one chunk kernel, ``(x, state) -> (y, state)``
-over frames that follow those already seen: ``__call__`` runs it from a zero
-state, ``chunk(state, x)`` continues a stream and ``step`` is its T=1 case.
+Every conv and LSTM layer has one chunk kernel, ``(x, cache) -> (y, cache)``
+over frames that follow those already seen, where a ``None`` cache is a zero
+one: ``__call__`` runs it from ``None``, ``chunk(state, x)`` continues a
+stream and ``step`` is its T=1 case. A stream's state is one flat dict that
+each stateful layer owns a slot of, ``state[layer]``, filled from the layer's
+first input; a kernel-1 ``Conv1d`` keeps none.
 ``lstm_chunk`` makes one input GEMM per chunk and one recurrent GEMV per
 frame. A conv caches exactly the ``(kernel-1)*dilation`` past frames it reads
 and makes one GEMM per block of ``TIME_BLOCK`` frames, over strided views of
@@ -30,6 +33,8 @@ is cached: loading, stage zeroing and the optimizer write ``w.data`` in place.
 Feature layouts: 1-D ``[C, T]``, 2-D ``[C, T, F]``, recurrent ``[T, D]``.
 """
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -45,15 +50,17 @@ TIME_BLOCK = 32  # frames per im2col block of the conv kernels
 
 
 def _conv1d_cols(x, cache, k, d):
-    """``xp`` = ``[cache; x]`` and its dilated im2col, the ``[Cin, K, T]`` view
-    of ``xp`` whose ``[c, i, t]`` is ``xp[c, t + i*d]``."""
+    """``xp`` = ``[cache; x]`` (a ``None`` cache is zeros) and its dilated
+    im2col, the ``[Cin, K, T]`` view of ``xp`` whose ``[c, i, t]`` is ``xp[c, t + i*d]``."""
+    if cache is None:
+        cache = np.zeros((x.shape[0], (k - 1) * d), dtype=x.dtype)
     xp = np.concatenate([cache, x], axis=1)
     sc, st = xp.strides
     return xp, np.ndarray((x.shape[0], k, x.shape[1]), xp.dtype, xp, 0, (sc, d * st, st))
 
 
 def conv1d_chunk(x, cache, w, b, d):
-    """x [Cin,T] following ``cache`` [Cin,(K-1)*d], w [Cout,Cin,K] -> (y [Cout,T],
+    """x [Cin,T] following ``cache`` [Cin,(K-1)*d] or None, w [Cout,Cin,K] -> (y [Cout,T],
     next cache): per time block, one GEMM of the ``[Cout, Cin*K]`` weight with
     :func:`_conv1d_cols`. For K=1 the columns are ``x`` and ``cache`` passes through."""
     cout, cin, k = w.shape
@@ -72,8 +79,7 @@ def conv1d_chunk(x, cache, w, b, d):
 
 def conv1d_forward(x, w, b, dilation):
     """:func:`conv1d_chunk` from a zero cache."""
-    cache = np.zeros((x.shape[0], (w.shape[2] - 1) * dilation), dtype=x.dtype)
-    return conv1d_chunk(x, cache, w, b, dilation)
+    return conv1d_chunk(x, None, w, b, dilation)
 
 
 def conv1d_op(x: Tensor, w: Tensor, b: Tensor, dilation: int) -> Tensor:
@@ -86,7 +92,7 @@ def conv1d_op(x: Tensor, w: Tensor, b: Tensor, dilation: int) -> Tensor:
     def bw(g):  # dW from the forward's columns, rebuilt; dx adds W^T g's K tap rows at their lags
         (cout, cin, k), t = wd.shape, xd.shape[1]
         pad = (k - 1) * dilation
-        taps = _conv1d_cols(xd, np.zeros((cin, pad), dtype=xd.dtype), k, dilation)[1]
+        taps = _conv1d_cols(xd, None, k, dilation)[1]
         dw = np.zeros((cout, cin * k), dtype=wd.dtype)
         for t0 in range(0, t, TIME_BLOCK):
             blk = slice(t0, t0 + TIME_BLOCK)
@@ -120,15 +126,13 @@ class Conv1d:
     def __call__(self, x: Tensor) -> Tensor:
         return self.op(x, self.w, self.b)
 
-    def init_state(self, dtype=np.float64):
-        return {"cache": np.zeros((self.cin, (self.kernel - 1) * self.dilation), dtype=dtype)}
-
     def chunk(self, state, x):
-        """[Cin,T] frames that follow those already seen -> [Cout,T]; a kernel-1
-        layer keeps no cache, so its ``state`` may be None."""
-        y, c = conv1d_chunk(x, state and state["cache"], self.w.data, self.b.data, self.dilation)
-        if state:
-            state["cache"] = c
+        """[Cin,T] frames that follow those already seen -> [Cout,T]; the cache
+        is ``state[self]``, and a kernel-1 layer keeps none."""
+        if self.kernel == 1:
+            return conv1d_chunk(x, None, self.w.data, self.b.data, self.dilation)[0]
+        y, state[self] = conv1d_chunk(x, state[self] if self in state else None, self.w.data,
+                                      self.b.data, self.dilation)
         return y
 
     def step(self, state, frame):
@@ -162,13 +166,14 @@ def _conv2d_cols(xp, t0, n, kt, kf, stride, out=None):
 
 
 def conv2d_chunk(x, cache, w, b, stride, pad):
-    """x [Cin,T,F] following ``cache`` [Cin,Kt-1,F], w [Cout,Cin,Kt,Kf]
+    """x [Cin,T,F] following ``cache`` [Cin,Kt-1,F] or None, w [Cout,Cin,Kt,Kf]
     -> (y [Cout,T,Fo], next cache): one GEMM per time block."""
     cout, _, kt, kf = w.shape
     t, f = x.shape[1], x.shape[2]
     fo = (f + 2 * pad - kf) // stride + 1
     xp = np.zeros((x.shape[0], kt - 1 + t, f + 2 * pad), dtype=x.dtype)  # [cache; x], padded
-    xp[:, : kt - 1, pad : pad + f] = cache
+    if cache is not None:
+        xp[:, : kt - 1, pad : pad + f] = cache
     xp[:, kt - 1 :, pad : pad + f] = x
     wmat = w.reshape(cout, -1)
     y = np.empty((cout, t * fo), dtype=x.dtype)
@@ -182,8 +187,7 @@ def conv2d_chunk(x, cache, w, b, stride, pad):
 
 def conv2d_forward(x, w, b, stride, pad):
     """:func:`conv2d_chunk` from a zero cache."""
-    cache = np.zeros((x.shape[0], w.shape[2] - 1, x.shape[2]), dtype=x.dtype)
-    return conv2d_chunk(x, cache, w, b, stride, pad)
+    return conv2d_chunk(x, None, w, b, stride, pad)
 
 
 def conv2d_op(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
@@ -254,13 +258,10 @@ class Conv2d:
     def __call__(self, x: Tensor) -> Tensor:
         return self.op(x, self.w, self.b)
 
-    def init_state(self, freq, dtype=np.float64):
-        return {"cache": np.zeros((self.cin, self.kt - 1, freq), dtype=dtype)}
-
     def chunk(self, state, x):
         """[Cin,T,F] frames that follow those already seen -> [Cout,T,Fo]."""
-        y, state["cache"] = conv2d_chunk(x, state["cache"], self.w.data, self.b.data,
-                                         self.stride, self.pad)
+        y, state[self] = conv2d_chunk(x, state[self] if self in state else None, self.w.data,
+                                      self.b.data, self.stride, self.pad)
         return y
 
     def step(self, state, frame):
@@ -283,9 +284,10 @@ def _deconv_cols(xp, t0, n, kt, out=None):
     return taps.reshape(-1, n * f) if out is None else _copy_into(out, taps)
 
 
+@functools.lru_cache
 def _deconv_scatter(f, kf, stride, pad, out_freq):
     """Per frequency tap ``j``: the output bins ``stride*f + j - pad`` that land
-    in ``[0, out_freq)``, and the input bins ``f`` they come from."""
+    in ``[0, out_freq)``, and the input bins ``f`` they come from; built once per shape."""
     taps = []
     for j in range(kf):
         f0 = max(0, -((j - pad) // stride))
@@ -293,15 +295,17 @@ def _deconv_scatter(f, kf, stride, pad, out_freq):
         if f1 > f0:
             q0 = stride * f0 + j - pad
             taps.append((j, slice(q0, q0 + stride * (f1 - f0 - 1) + 1, stride), slice(f0, f1)))
-    return taps
+    return tuple(taps)
 
 
 def conv_transpose2d_chunk(x, cache, w, b, stride, pad, out_freq):
-    """x [Cin,T,F] following ``cache`` [Cin,Kt-1,F] -> (y [Cout,T,out_freq], next
-    cache): per time block, one GEMM, then tap ``j`` of input bin ``f`` is added
+    """x [Cin,T,F] following ``cache`` [Cin,Kt-1,F] or None -> (y [Cout,T,out_freq],
+    next cache): per time block, one GEMM, then tap ``j`` of input bin ``f`` is added
     to output bin ``stride*f + j - pad``. Bins past the span hold the bias only."""
     cout, _, kt, kf = w.shape
     t, f = x.shape[1], x.shape[2]
+    if cache is None:
+        cache = np.zeros((x.shape[0], kt - 1, f), dtype=x.dtype)
     xp = np.concatenate([cache, x], axis=1)
     wmat = w.transpose(0, 3, 1, 2).reshape(cout * kf, -1)  # free in step order
     scatter = _deconv_scatter(f, kf, stride, pad, out_freq)
@@ -317,8 +321,7 @@ def conv_transpose2d_chunk(x, cache, w, b, stride, pad, out_freq):
 
 def conv_transpose2d_forward(x, w, b, stride, pad, out_freq):
     """:func:`conv_transpose2d_chunk` from a zero cache."""
-    cache = np.zeros((x.shape[0], w.shape[2] - 1, x.shape[2]), dtype=x.dtype)
-    return conv_transpose2d_chunk(x, cache, w, b, stride, pad, out_freq)
+    return conv_transpose2d_chunk(x, None, w, b, stride, pad, out_freq)
 
 
 def conv_transpose2d_op(x: Tensor, w: Tensor, b: Tensor, stride, pad, out_freq) -> Tensor:
@@ -386,14 +389,12 @@ class ConvTranspose2d:
     def __call__(self, x: Tensor) -> Tensor:
         return self.op(x, self.w, self.b)
 
-    def init_state(self, freq, dtype=np.float64):
-        return {"cache": np.zeros((self.cin, self.kt - 1, freq), dtype=dtype)}
-
     def chunk(self, state, x):
         """[Cin,T,F] frames that follow those already seen -> [Cout,T,out_freq]."""
         out_freq = self.out_freq or self.natural_out_freq(x.shape[2])
-        y, state["cache"] = conv_transpose2d_chunk(x, state["cache"], self.w.data, self.b.data,
-                                                   self.stride, self.pad, out_freq)
+        y, state[self] = conv_transpose2d_chunk(x, state[self] if self in state else None,
+                                                self.w.data, self.b.data, self.stride, self.pad,
+                                                out_freq)
         return y
 
     def step(self, state, frame):
@@ -471,9 +472,6 @@ class _Gated:
 
     def __call__(self, x: Tensor) -> Tensor:
         return gate_op(stacked_op(self.pair, (self.lin, self.gate), x))
-
-    def init_state(self, freq, dtype=np.float64):
-        return self.pair.init_state(freq, dtype)
 
     def chunk(self, state, x):
         return gate_halves(self.pair.chunk(state, x))
@@ -749,13 +747,12 @@ class Lstm:
 
         return make_node(y, (x, *ws, *bs), bw)
 
-    def init_state(self, dtype=np.float64):
-        return dict(zip("hc", np.zeros((2, self.layers, self.hidden), dtype=dtype)))
-
     def chunk(self, state, x):
-        """[T, D] frames that follow those already seen -> [T, H]."""
-        return lstm_chunk(x, (state["h"], state["c"]), [w.data for w in self.ws],
-                          [b.data for b in self.bs])
+        """[T, D] frames that follow those already seen -> [T, H]; h and c are
+        ``state[self]``, [2, L, H]."""
+        if self not in state:
+            state[self] = np.zeros((2, self.layers, self.hidden), dtype=x.dtype)
+        return lstm_chunk(x, state[self], [w.data for w in self.ws], [b.data for b in self.bs])
 
     def step(self, state, vec):
         return self.chunk(state, vec[None])[0]

@@ -239,13 +239,10 @@ class GatedTcnBlock:
         g = gate_op(stacked_op(self.dil, (self.dil_lin, self.dil_gate), h))
         return ad.add(x, self.pw_out(self.act_mid(g)))
 
-    def init_state(self, dtype):
-        return self.dil.init_state(dtype)
-
     def step(self, state, frame):
-        h = self.act_in.step(None, self.pw_in.step(None, frame))
+        h = self.act_in.step(state, self.pw_in.step(state, frame))
         g = gate_halves(self.dil.step(state, h))
-        return frame + self.pw_out.step(None, self.act_mid.step(None, g))
+        return frame + self.pw_out.step(state, self.act_mid.step(state, g))
 
 
 class GatedTcnStack:
@@ -272,13 +269,10 @@ class GatedTcnStack:
             h = b(h)
         return h
 
-    def init_state(self, dtype):
-        return {"blocks": [b.init_state(dtype) for b in self.blocks]}
-
     def step(self, state, frame):
-        h = self.in_proj.step(None, frame)
-        for b, st in zip(self.blocks, state["blocks"]):
-            h = b.step(st, h)
+        h = self.in_proj.step(state, frame)
+        for b in self.blocks:
+            h = b.step(state, h)
         return h
 
 
@@ -311,16 +305,10 @@ class _UnetLevel:
             h = act(norm(conv(h), training))
         return h
 
-    def init_state(self, in_freq, out_freq, dtype):
-        st = {"main": self.main.init_state(in_freq, dtype), "refs": []}
-        for conv, _, _ in self.refiners:
-            st["refs"].append(conv.init_state(out_freq, dtype))
-        return st
-
     def step(self, state, frame):
-        h = self.act.step(None, self.norm.step(None, self.main.step(state["main"], frame)))
-        for (conv, norm, act), st in zip(self.refiners, state["refs"]):
-            h = act.step(None, norm.step(None, conv.step(st, h)))
+        h = self.act.step(state, self.norm.step(state, self.main.step(state, frame)))
+        for conv, norm, act in self.refiners:
+            h = act.step(state, norm.step(state, conv.step(state, h)))
         return h
 
 
@@ -366,28 +354,18 @@ class RecurrentUnet:
             h = level(ad.concat([h, skips[self.cfg.levels - 1 - lvl]], axis=0), training)
         return self.out_conv(h)
 
-    def init_state(self, dtype):
-        st = {"enc": [], "dec": [], "lstm": self.lstm.init_state(dtype),
-              "out": self.out_conv.init_state(self.freqs[0], dtype)}
-        for lvl, level in enumerate(self.encoder):
-            st["enc"].append(level.init_state(self.freqs[lvl], self.freqs[lvl + 1], dtype))
-        for lvl, level in enumerate(self.decoder):
-            st["dec"].append(level.init_state(self.freqs[self.cfg.levels - lvl],
-                                              self.freqs[self.cfg.levels - 1 - lvl], dtype))
-        return st
-
     def step(self, state, frame):
         skips = []
         h = frame
-        for level, st in zip(self.encoder, state["enc"]):
-            h = level.step(st, h)
+        for level in self.encoder:
+            h = level.step(state, h)
             skips.append(h)
         ch, fb = h.shape
-        emb = self.unflatten.step(None, self.lstm.step(state["lstm"], h.reshape(ch * fb)))
+        emb = self.unflatten.step(state, self.lstm.step(state, h.reshape(ch * fb)))
         h = emb.reshape(ch, fb)
-        for lvl, (level, st) in enumerate(zip(self.decoder, state["dec"])):
-            h = level.step(st, np.concatenate([h, skips[self.cfg.levels - 1 - lvl]], axis=0))
-        return self.out_conv.step(state["out"], h)
+        for lvl, level in enumerate(self.decoder):
+            h = level.step(state, np.concatenate([h, skips[self.cfg.levels - 1 - lvl]], axis=0))
+        return self.out_conv.step(state, h)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +384,9 @@ class TcnBlock:
         h = self.act_mid(self.dil(self.act_in(self.pw_in(x))))
         return ad.add(x, self.pw_out(h))
 
-    def init_state(self, dtype):
-        return {"dil": self.dil.init_state(dtype)}
-
     def step(self, state, frame):
-        h = self.act_mid.step(None, self.dil.step(state["dil"], self.act_in.step(None, self.pw_in.step(None, frame))))
-        return frame + self.pw_out.step(None, h)
+        h = self.act_mid.step(state, self.dil.step(state, self.act_in.step(state, self.pw_in.step(state, frame))))
+        return frame + self.pw_out.step(state, h)
 
 
 class MultiBandTcn:
@@ -459,21 +434,18 @@ class MultiBandTcn:
             prev = h
         return ad.concat(outs, axis=0)
 
-    def init_state(self, dtype):
-        return {"bands": [[blk.init_state(dtype) for blk in blocks] for blocks in self.bands]}
-
     def step(self, state, fixed_f, dyn_flat_f):
-        dyn = self.dyn_proj.step(None, dyn_flat_f)
+        dyn = self.dyn_proj.step(state, dyn_flat_f)
         bd = self.cfg.band_dim
         outs = []
         prev = None
         for b in range(self.cfg.bands):
             y = dyn[b * bd : (b + 1) * bd]
-            y = self.fusion[b].step(None, np.concatenate([fixed_f, y]))
+            y = self.fusion[b].step(state, np.concatenate([fixed_f, y]))
             h = y if prev is None else np.concatenate([prev, y])
-            h = self.band_in[b].step(None, h)
-            for blk, st in zip(self.bands[b], state["bands"][b]):
-                h = blk.step(st, h)
+            h = self.band_in[b].step(state, h)
+            for blk in self.bands[b]:
+                h = blk.step(state, h)
             outs.append(h)
             prev = h
         return np.concatenate(outs)
@@ -500,7 +472,7 @@ class MaskHead:
         return [(planes[2 * ch], planes[2 * ch + 1]) for ch in range(NUM_CHANNELS)]
 
     def step(self, state, feat_f):
-        planes = np.tanh(self.whole.step(None, feat_f)).reshape(RI_PLANES, self.bins)
+        planes = np.tanh(self.whole.step(state, feat_f)).reshape(RI_PLANES, self.bins)
         return [(planes[2 * ch], planes[2 * ch + 1]) for ch in range(NUM_CHANNELS)]
 
 
@@ -533,11 +505,8 @@ class CompensationStage:
     def __call__(self, planes: Tensor, training=False) -> Tensor:
         return self.heads(self.unet(planes, training))
 
-    def init_state(self, dtype):
-        return {"unet": self.unet.init_state(dtype)}
-
     def step(self, state, frame):
-        return self.heads.step(None, self.unet.step(state["unet"], frame))
+        return self.heads.step(state, self.unet.step(state, frame))
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +550,11 @@ class Enhancer:
 
     # -- spectra-level forward (tape) --------------------------------------
 
-    def enhance_spectra(self, noisy_pairs, training=False, identity_mask=False,
+    def enhance_spectra(self, noisy_pairs, training=False,
                         disable_compensation=False) -> StageTensors:
         """Run both stages on compressed (real, imag) plane pairs.
 
         ``noisy_pairs`` is a list of 3 ``(real, imag)`` arrays of shape [T, F].
-        ``identity_mask`` forces the stage-1 mask to complex one (debug seam);
         ``disable_compensation`` stops after stage 1.
         """
         if len(noisy_pairs) != NUM_CHANNELS:
@@ -602,10 +570,7 @@ class Enhancer:
         dyn = self.unet(unet_in, training)                              # [C_out, T, F]
         dyn_flat = ad.reshape(ad.moveaxis(dyn, 1, 2), (-1, dyn.data.shape[1]))
         feats = self.band_tcn(fixed, dyn_flat)
-        if identity_mask:
-            masked = [(Tensor(r.data.copy()), Tensor(i.data.copy())) for r, i in const]
-        else:
-            masked = apply_crm(const, self.mask_head(feats))
+        masked = apply_crm(const, self.mask_head(feats))
         if disable_compensation:
             t, f = const[0][0].data.shape
             comp_zero = Tensor(np.zeros((RI_PLANES, t, f), dtype=self.dtype))
@@ -639,8 +604,7 @@ class Enhancer:
         bank = dsp.SubChannelBank(tuple(outs), origin_length=origin_len)
         return dsp.interpolate(bank)
 
-    def forward(self, audio: dsp.AudioBuffer, identity_mask=False,
-                disable_compensation=False) -> dsp.AudioBuffer:
+    def forward(self, audio: dsp.AudioBuffer, disable_compensation=False) -> dsp.AudioBuffer:
         """Offline enhancement of a 48 kHz buffer; output length == input length.
 
         A buffer holding NaN or inf raises
@@ -651,7 +615,7 @@ class Enhancer:
         bank, comp = self._analysis(audio)
         pairs = [(s.real, s.imag) for s in comp]
         with no_grad():
-            st = self.enhance_spectra(pairs, training=False, identity_mask=identity_mask,
+            st = self.enhance_spectra(pairs, training=False,
                                       disable_compensation=disable_compensation)
         enhanced = [(r.data, i.data) for r, i in st.enhanced]
         return self._synthesis(enhanced, bank.channel_length, bank.origin_length)
@@ -663,26 +627,21 @@ class Enhancer:
     # -- streaming ----------------------------------------------------------
 
     def init_stream_state(self):
-        dt = self.dtype
-        return {
-            "mag_tcn": self.mag_tcn.init_state(dt),
-            "unet": self.unet.init_state(dt),
-            "band_tcn": self.band_tcn.init_state(dt),
-            "comp": self.comp.init_state(dt),
-        }
+        """An empty dict: each stateful layer fills its own slot on its first frame."""
+        return {}
 
     def stream_step(self, state, frame_pairs):
         """One hop: 3 compressed (real[F], imag[F]) pairs in, same out."""
         mags = [np.hypot(r, i) for r, i in frame_pairs]
-        fixed = self.mag_tcn.step(state["mag_tcn"], np.concatenate(mags))
+        fixed = self.mag_tcn.step(state, np.concatenate(mags))
         unet_in = np.stack([p for pair in frame_pairs for p in pair], axis=0)
-        dyn = self.unet.step(state["unet"], unet_in)           # [C_out, F]
-        feats = self.band_tcn.step(state["band_tcn"], fixed, dyn.reshape(-1))
-        masks = self.mask_head.step(None, feats)
+        dyn = self.unet.step(state, unet_in)           # [C_out, F]
+        feats = self.band_tcn.step(state, fixed, dyn.reshape(-1))
+        masks = self.mask_head.step(state, feats)
         masked = apply_crm_frame(frame_pairs, masks)
         comp_in = np.stack([p for pair in frame_pairs for p in pair]
                            + [p for pair in masked for p in pair], axis=0)
-        comp_out = self.comp.step(state["comp"], comp_in)
+        comp_out = self.comp.step(state, comp_in)
         return [(masked[ch][0] + comp_out[2 * ch], masked[ch][1] + comp_out[2 * ch + 1])
                 for ch in range(NUM_CHANNELS)]
 

@@ -16,9 +16,11 @@ the only synthesis state is the previous frame's second half (``ola_tail``),
 and each emitted hop is divided by a constant first- or middle-hop
 denominator (the last-hop one at flush).
 
-Per-layer state is exact: every dilated convolution caches ``(k-1)*d`` past
-frames, the LSTMs carry (h, c), and memory stays O(model) regardless of
-stream length.
+Per-layer state is exact and owned by the layer: in ``StreamState.model_state``,
+one flat dict that is empty at creation, every dilated convolution caches
+``(k-1)*d`` past frames and each LSTM its (h, c) under the layer itself, from
+the stream's first model frame (its second hop) on. Memory stays O(model)
+regardless of stream length, and streams over one model share only weights.
 """
 
 import math
@@ -35,6 +37,7 @@ from .errors import (
     ShapeMismatchError,
     StreamClosedError,
 )
+from .layers import Lstm
 
 BLOCK_SAMPLES = 3 * dsp.HOP_LEN            # 480 at 48 kHz
 LATENCY_SAMPLES = dsp.LATENCY_SAMPLES_48K  # 1440 at 48 kHz
@@ -61,7 +64,6 @@ class StreamState:
     def __init__(self, model):
         self.model = model
         self.model_state = model.init_stream_state()
-        self.compression = model.cfg.compression
         self.pending = np.zeros(0, dtype=np.float64)
         self.prev_hop = np.zeros((3, dsp.HOP_LEN), dtype=np.float64)
         self.ola_tail = np.zeros((3, dsp.HOP_LEN), dtype=np.float64)  # previous frame's 2nd half
@@ -77,23 +79,15 @@ class StreamState:
 
     @property
     def conv_caches(self):
-        return {path: arr for path, arr in _walk(self.model_state) if path.endswith("cache")}
+        """Conv layer name -> its cache of past frames."""
+        return {layer.name: arr for layer, arr in self.model_state.items()
+                if not isinstance(layer, Lstm)}
 
     @property
     def lstm_states(self):
-        return {path: arr for path, arr in _walk(self.model_state)
-                if path.endswith((".h", ".c"))}
-
-
-def _walk(node, prefix=""):
-    if isinstance(node, dict):
-        for k, v in node.items():
-            yield from _walk(v, f"{prefix}.{k}" if prefix else str(k))
-    elif isinstance(node, (list, tuple)):
-        for idx, v in enumerate(node):
-            yield from _walk(v, f"{prefix}[{idx}]")
-    elif isinstance(node, np.ndarray):
-        yield prefix, node
+        """LSTM name -> its [2, layers, hidden] (h, c)."""
+        return {layer.name: arr for layer, arr in self.model_state.items()
+                if isinstance(layer, Lstm)}
 
 
 def stream_create(model) -> StreamState:
@@ -114,7 +108,7 @@ def _consume_block(state: StreamState, block48):
     if state.hops >= 1:
         t0 = time.perf_counter()
         spec = dsp.analysis_frames(np.concatenate([state.prev_hop, hops], axis=1))
-        r, i = dsp.compressed_planes(spec.real, spec.imag, state.compression)
+        r, i = dsp.compressed_planes(spec.real, spec.imag, state.model.cfg.compression)
         dt = state.model.dtype
         frame_pairs = [(r[ch].astype(dt), i[ch].astype(dt)) for ch in range(3)]
         t1 = time.perf_counter()
@@ -122,7 +116,7 @@ def _consume_block(state: StreamState, block48):
         t2 = time.perf_counter()
         lr, li = dsp.compressed_planes(np.array([er for er, _ in enhanced], dtype=np.float64),
                                        np.array([ei for _, ei in enhanced], dtype=np.float64),
-                                       1.0 / state.compression)
+                                       1.0 / state.model.cfg.compression)
         segs = dsp.synthesis_frames(lr + 1j * li)
         den = dsp.OLA_DENOM_FIRST if state.frames_done == 0 else dsp.OLA_DENOM_MIDDLE
         _queue_hop(state, state.ola_tail + segs[:, : dsp.HOP_LEN], den)

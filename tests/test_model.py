@@ -291,7 +291,9 @@ class TestForward:
 
     def test_pipeline_transparency_with_identity_mask(self, tiny):
         x = rand_audio(9600, seed=6)
-        y = tiny.forward(x, identity_mask=True, disable_compensation=True)
+        bank, comp = tiny._analysis(x)
+        y = tiny._synthesis([(s.real, s.imag) for s in comp], bank.channel_length,
+                            bank.origin_length)
         assert np.max(np.abs(y.samples - x.samples)) < 1e-5
 
     @pytest.mark.parametrize("n", [480, 961, 48000])

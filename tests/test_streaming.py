@@ -28,7 +28,7 @@ class TestLayerStepEquivalence:
         layer = layers.Conv1d(ParamStore(0), "c", 3, 4, kernel=3, dilation=6)
         x = rng.standard_normal((3, 40))
         offline = layer(Tensor(x)).data
-        state = layer.init_state()
+        state = {}
         stepped = np.stack([layer.step(state, x[:, t]) for t in range(40)], axis=1)
         np.testing.assert_allclose(stepped, offline, atol=1e-12)
 
@@ -37,7 +37,7 @@ class TestLayerStepEquivalence:
         layer = layers.GatedConv2d(ParamStore(1), "g", 2, 3, kernel=(2, 3), stride=2)
         x = rng.standard_normal((2, 12, 9))
         offline = layer(Tensor(x)).data
-        state = layer.init_state(9)
+        state = {}
         stepped = np.stack([layer.step(state, x[:, t]) for t in range(12)], axis=1)
         np.testing.assert_allclose(stepped, offline, atol=1e-12)
 
@@ -47,7 +47,7 @@ class TestLayerStepEquivalence:
                                             stride=2, out_freq=9)
         x = rng.standard_normal((3, 10, 5))
         offline = layer(Tensor(x)).data
-        state = layer.init_state(5)
+        state = {}
         stepped = np.stack([layer.step(state, x[:, t]) for t in range(10)], axis=1)
         np.testing.assert_allclose(stepped, offline, atol=1e-12)
 
@@ -58,7 +58,7 @@ class TestLayerStepEquivalence:
         layer = layers.Conv1d(ParamStore(10), "c", 5, 4, kernel=kernel, dilation=dilation)
         x = rng.standard_normal((5, t))
         offline = layer(Tensor(x)).data
-        state = layer.init_state()
+        state = {}
         stepped = np.stack([layer.step(state, x[:, i]) for i in range(t)], axis=1)
         np.testing.assert_allclose(stepped, offline, atol=1e-12)
 
@@ -70,7 +70,7 @@ class TestLayerStepEquivalence:
         layer = layers.Conv2d(ParamStore(11), "c", 3, 4, kernel=kernel, stride=stride, pad=pad)
         x = rng.standard_normal((3, 9, 17))
         offline = layer(Tensor(x)).data
-        state = layer.init_state(17)
+        state = {}
         stepped = np.stack([layer.step(state, x[:, i]) for i in range(9)], axis=1)
         np.testing.assert_allclose(stepped, offline, atol=1e-12)
 
@@ -85,7 +85,7 @@ class TestLayerStepEquivalence:
         layer.b.data[...] = rng.standard_normal(4)
         x = rng.standard_normal((3, 8, 5))
         offline = layer(Tensor(x)).data
-        state = layer.init_state(5)
+        state = {}
         stepped = np.stack([layer.step(state, x[:, i]) for i in range(8)], axis=1)
         np.testing.assert_allclose(stepped, offline, atol=1e-12)
 
@@ -94,7 +94,7 @@ class TestLayerStepEquivalence:
         lstm = layers.Lstm(ParamStore(3), "l", 4, 5, 3)
         x = rng.standard_normal((20, 4))
         offline = lstm(Tensor(x)).data
-        state = lstm.init_state()
+        state = {}
         stepped = np.stack([lstm.step(state, x[t]) for t in range(20)])
         np.testing.assert_allclose(stepped, offline, atol=1e-12)
 
@@ -116,7 +116,7 @@ class TestLayerStepEquivalence:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((6, 8, 161))
         offline = net(Tensor(x)).data
-        state = net.init_state(np.float64)
+        state = {}
         stepped = np.stack([net.step(state, x[:, t]) for t in range(8)], axis=1)
         np.testing.assert_allclose(stepped, offline, atol=1e-10)
 
@@ -128,7 +128,7 @@ class TestLayerStepEquivalence:
         fixed = rng.standard_normal((5, 15))
         dyn = rng.standard_normal((10, 15))
         offline = tcn(Tensor(fixed), Tensor(dyn)).data
-        state = tcn.init_state(np.float64)
+        state = {}
         stepped = np.stack([tcn.step(state, fixed[:, t], dyn[:, t]) for t in range(15)], axis=1)
         np.testing.assert_allclose(stepped, offline, atol=1e-10)
 
@@ -184,9 +184,6 @@ class OneBin:
     def __call__(self, x):
         return Tensor(self._from(self.layer(Tensor(self._to(x.data))).data))
 
-    def init_state(self, freq):
-        return self.layer.init_state()
-
     def step(self, state, frame):
         return self.layer.step(state, frame[:, 0])[:, None]
 
@@ -209,11 +206,11 @@ class TestChunkEquivalence:
                 p.data[...] = rng.standard_normal(p.data.shape)
         x = rng.standard_normal((cin, CHUNK_T, freq))
         offline = layer(Tensor(x)).data
-        state = layer.init_state(freq)
+        state = {}
         stepped = np.stack([layer.step(state, x[:, t]) for t in range(CHUNK_T)], axis=1)
         np.testing.assert_allclose(stepped, offline, atol=1e-12)
         for size in (1, 3, 7):
-            state = layer.init_state(freq)
+            state = {}
             chunked = np.concatenate([layer.chunk(state, x[:, t : t + size])
                                       for t in range(0, CHUNK_T, size)], axis=1)
             np.testing.assert_allclose(chunked, offline, atol=1e-12, err_msg=f"chunk {size}")
@@ -317,17 +314,45 @@ class TestStreamContract:
     def test_fresh_states_identical(self, tiny_model):
         s1 = streaming.stream_create(tiny_model)
         s2 = streaming.stream_create(tiny_model)
-        c1, c2 = s1.conv_caches, s2.conv_caches
-        assert set(c1) == set(c2)
-        for key in c1:
-            assert np.array_equal(c1[key], c2[key])
         assert s1.frames_done == 0 and not s1.pending.size
+        x = rand_audio(4 * 480, seed=11).samples
+        for k in range(4):
+            streaming.stream_push(s1, x[k * 480 : (k + 1) * 480])
+            streaming.stream_push(s2, x[k * 480 : (k + 1) * 480])
+            for c1, c2 in ((s1.conv_caches, s2.conv_caches), (s1.lstm_states, s2.lstm_states)):
+                assert set(c1) == set(c2)
+                for key in c1:
+                    assert np.array_equal(c1[key], c2[key]), key
+        assert s1.frames_done == 3 and s1.conv_caches and s1.lstm_states
+
+    def test_interleaved_streams_are_isolated(self, tiny_model):
+        # a layer that kept stream state on itself, or one slot per class,
+        # would mix the two streams or break the offline equivalence
+        xs = [rand_audio(24 * 480, seed=s).samples for s in (12, 13)]
+
+        def run(streams_audio):
+            states = [streaming.stream_create(tiny_model) for _ in streams_audio]
+            outs = [[] for _ in streams_audio]
+            for lo in range(0, xs[0].size, 480):
+                for st, x, out in zip(states, streams_audio, outs):
+                    out.append(streaming.stream_push(st, x[lo : lo + 480]))
+            return [np.concatenate(o + [streaming.stream_flush(st)]) for st, o in zip(states, outs)]
+
+        both = run(xs)
+        for x, out in zip(xs, both):
+            alone = run([x])[0]
+            assert np.array_equal(out, alone)
+            offline = tiny_model.forward(dsp.AudioBuffer(x, 48000)).samples
+            np.testing.assert_allclose(alone, offline, atol=1e-5)
 
 
 class TestStateBookkeeping:
     def test_conv_cache_widths_match_closed_form(self, tiny_model):
         cfg = tiny_model.cfg
         state = streaming.stream_create(tiny_model)
+        assert not state.model_state  # slots are filled by the first model frame
+        for _ in range(2):
+            streaming.stream_push(state, np.zeros(480))
         caches = state.conv_caches
 
         mag_tcn_dil = {}
@@ -339,21 +364,26 @@ class TestStateBookkeeping:
                      for i in range(cfg.band_tcn.blocks_per_band)}
 
         seen_mag_tcn = seen_band_tcn = seen_2d = 0
-        for path, arr in caches.items():
-            if path.startswith("mag_tcn"):
-                blk = int(path.split("[")[1].split("]")[0])
-                assert arr.shape[1] == mag_tcn_dil[blk], path
+        for name, arr in caches.items():
+            if name.startswith("stage1.mag_tcn"):  # stage1.mag_tcn.g{grp}.b{idx}.dil
+                grp, idx = (int(part[1:]) for part in name.split(".")[2:4])
+                assert arr.shape[1] == mag_tcn_dil[grp * cfg.mag_tcn.per_group + idx], name
                 seen_mag_tcn += 1
-            elif path.startswith("band_tcn"):
-                blk = int(path.split("[")[2].split("]")[0])
-                assert arr.shape[1] == band_tcn_dil[blk], path
+            elif name.startswith("stage1.band_tcn"):  # stage1.band_tcn.band{b}.blk{i}.dil
+                blk = int(name.split(".")[3][3:])
+                assert arr.shape[1] == band_tcn_dil[blk], name
                 seen_band_tcn += 1
             else:
                 # 2-D convs cache (kernel_t - 1) frames: 1 for main/refiner, 0 for 1x1 out
-                assert arr.ndim == 3 and arr.shape[1] in (0, 1), path
+                assert arr.ndim == 3 and arr.shape[1] in (0, 1), name
                 seen_2d += 1
         assert seen_mag_tcn == n_blocks  # one cache per stacked lin/gate pair
         assert seen_band_tcn == cfg.band_tcn.bands * cfg.band_tcn.blocks_per_band
+        # per U-net: a gated pair per encoder and decoder conv, and the 1x1 out conv
+        per_unet = [2 * u.levels * u.convs_per_level + 1 for u in (cfg.unet, cfg.comp)]
+        assert seen_2d == sum(per_unet)
+        # one slot per stateful layer, under a name no other slot has
+        assert len(state.model_state) == len(caches) + len(state.lstm_states) == len(caches) + 2
 
     def test_caches_never_grow(self, tiny_model):
         state = streaming.stream_create(tiny_model)
