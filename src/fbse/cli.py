@@ -36,7 +36,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_model(args):
-    cfg = model.load_config(args.config) if args.config else model.ModelConfig.default()
+    """The model of the common options; an unreadable config raises :class:`ConfigError`."""
+    try:
+        cfg = model.load_config(args.config) if args.config else model.ModelConfig.default()
+    except OSError as exc:
+        raise ConfigError(exc) from exc
     m = model.Enhancer(cfg, seed=args.seed)
     if getattr(args, "checkpoint", None):
         m.store.load(args.checkpoint)
@@ -104,14 +108,9 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        cfg = model.load_config(args.config) if args.config else model.ModelConfig.default()
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    per_module = model.complexity_report(cfg)
+    per_module = _load_model(args).complexity()
     total_params = sum(m["params"] for m in per_module.values())
-    macs_s = model.count_macs_per_second(cfg)
+    macs_s = sum(m["macs_per_frame"] for m in per_module.values()) * model.FRAMES_PER_SECOND
     report = {
         "modules": {name: {"params": d["params"],
                            "macs_per_second": d["macs_per_frame"] * model.FRAMES_PER_SECOND}

@@ -11,8 +11,9 @@ fused per frequency band by a forward-stacked multi-band TCN. Stage 2 runs a
 second U-net over the noisy + masked planes and adds a per-channel-calibrated
 compensation to the masked spectra. Everything is causal in time.
 
-Also provides closed-form parameter and multiply-accumulate accounting used
-by the ``analyze`` CLI command.
+Each top-level module reports its multiply-accumulates per frame as the sum
+of its layers'; ``complexity_report`` reads them and the parameter counts off
+a built model, for the ``analyze`` CLI command and the acceptance checks.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -27,6 +28,7 @@ from .layers import (
     ChannelAffine,
     Conv1d,
     Conv2d,
+    ConvTranspose2d,
     GatedConv2d,
     GatedConvTranspose2d,
     InstanceNorm,
@@ -102,9 +104,24 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
-        ladder = encoder_freqs(self.unet, self.bins)
-        if min(ladder) < 1:
-            raise ConfigError(f"frequency ladder collapses: {ladder}")
+        """Every size, kernel, stride, dilation and count of a section is at least 1,
+        and a tuple of them is non-empty; a U-net kernel is a (time, freq) pair."""
+        for name in _SECTIONS:
+            sub = getattr(self, name)
+            for f in fields(sub):
+                v = getattr(sub, f.name)
+                vals = v if isinstance(v, tuple) else (v,)
+                if not vals or min(vals) < 1 or (f.name.endswith("_kernel") and len(vals) != 2):
+                    raise ConfigError(f"{name}.{f.name} = {_fmt_value(v)}: sizes are at least 1, "
+                                      "U-net kernels (time, freq) pairs")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype = {self.dtype!r}: must be float32 or float64")
+        if not 0 < self.compression <= 1:
+            raise ConfigError(f"compression = {self.compression}: must be in (0, 1]")
+        for unet in (self.unet, self.comp):
+            ladder = encoder_freqs(unet, self.bins)
+            if min(ladder) < 1:
+                raise ConfigError(f"frequency ladder collapses: {ladder}")
 
     @classmethod
     def default(cls):
@@ -130,28 +147,34 @@ def _fmt_value(v):
     return str(v)
 
 
-def _parse_like(template, raw):
-    if isinstance(template, tuple):
-        return tuple(int(x) for x in raw.split(","))
-    return type(template)(raw)
+def _parse_like(template, raw, key):
+    try:
+        return tuple(map(int, raw.split(","))) if isinstance(template, tuple) else type(template)(raw)
+    except ValueError:
+        raise ConfigError(f"{key} = {raw!r}: not a valid {type(template).__name__}") from None
 
 
 _SECTIONS = {"mag_tcn": MagTcnConfig, "unet": UnetConfig, "band_tcn": BandTcnConfig, "comp": UnetConfig}
 _SCALARS = ("compression", "dtype")
 
 
-def config_to_text(cfg: ModelConfig) -> str:
-    lines = [f"{CONFIG_FORMAT} v{CONFIG_VERSION}"]
-    for key in _SCALARS:
-        lines.append(f"{key} = {getattr(cfg, key)}")
+def _flat(cfg: ModelConfig):
+    """``{file key: value}`` of every config field, in file order."""
+    out = {key: getattr(cfg, key) for key in _SCALARS}
     for section in _SECTIONS:
         sub = getattr(cfg, section)
-        for f in fields(sub):
-            lines.append(f"{section}.{f.name} = {_fmt_value(getattr(sub, f.name))}")
+        out.update({f"{section}.{f.name}": getattr(sub, f.name) for f in fields(sub)})
+    return out
+
+
+def config_to_text(cfg: ModelConfig) -> str:
+    lines = [f"{CONFIG_FORMAT} v{CONFIG_VERSION}"]
+    lines += [f"{key} = {_fmt_value(v)}" for key, v in _flat(cfg).items()]
     return "\n".join(lines) + "\n"
 
 
 def config_from_text(text: str) -> ModelConfig:
+    """The config of a config file; anything malformed raises :class:`ConfigError`."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
     if not lines:
         raise ConfigError("empty config file")
@@ -160,23 +183,18 @@ def config_from_text(text: str) -> ModelConfig:
         raise ConfigError(f"not a {CONFIG_FORMAT} file: {lines[0]!r}")
     if head[1] != f"v{CONFIG_VERSION}":
         raise ConfigError(f"unsupported config version {head[1]}")
-    sections = {name: klass() for name, klass in _SECTIONS.items()}
-    scalars = {}
+    defaults = _flat(ModelConfig())
+    parts = {name: {} for name in ("", *_SECTIONS)}  # "" holds the scalars
     for ln in lines[1:]:
         if "=" not in ln:
             raise ConfigError(f"malformed line: {ln!r}")
         key, raw = (part.strip() for part in ln.split("=", 1))
-        if "." in key:
-            section, attr = key.split(".", 1)
-            if section not in sections or not hasattr(sections[section], attr):
-                raise ConfigError(f"unknown config key {key!r}")
-            template = getattr(sections[section], attr)
-            setattr(sections[section], attr, _parse_like(template, raw))
-        elif key in _SCALARS:
-            scalars[key] = float(raw) if key == "compression" else raw
-        else:
+        if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
-    return ModelConfig(**sections, **scalars)
+        section, _, attr = key.rpartition(".")
+        parts[section][attr] = _parse_like(defaults[key], raw, key)
+    scalars = parts.pop("")
+    return ModelConfig(**{name: _SECTIONS[name](**kw) for name, kw in parts.items()}, **scalars)
 
 
 def save_config(path, cfg: ModelConfig):
@@ -275,6 +293,11 @@ class GatedTcnStack:
             h = b.step(state, h)
         return h
 
+    @property
+    def macs_per_frame(self):  # a block's stacked pair ``dil`` once, not its halves as well
+        convs = [c for b in self.blocks for c in (b.pw_in, b.dil, b.pw_out)]
+        return sum(c.macs_per_frame for c in [self.in_proj, *convs])
+
 
 # ---------------------------------------------------------------------------
 # recurrent U-net (dynamic branch and compensation topology)
@@ -367,6 +390,17 @@ class RecurrentUnet:
             h = level.step(state, np.concatenate([h, skips[self.cfg.levels - 1 - lvl]], axis=0))
         return self.out_conv.step(state, h)
 
+    @property
+    def macs_per_frame(self):
+        """Gated pairs at the bins they read: a level's main conv sets its refiners' bins."""
+        f, macs = self.freqs[0], self.lstm.macs_per_frame + self.unflatten.macs_per_frame
+        for level in self.encoder + self.decoder:
+            main = level.main.pair
+            macs += main.macs_per_frame(f)
+            f = main.out_freq if isinstance(main, ConvTranspose2d) else main.out_freq(f)
+            macs += sum(conv.pair.macs_per_frame(f) for conv, _, _ in level.refiners)
+        return macs + self.out_conv.macs_per_frame(f)
+
 
 # ---------------------------------------------------------------------------
 # multi-band TCN
@@ -450,6 +484,11 @@ class MultiBandTcn:
             prev = h
         return np.concatenate(outs)
 
+    @property
+    def macs_per_frame(self):
+        convs = [c for band in self.bands for b in band for c in (b.pw_in, b.dil, b.pw_out)]
+        return sum(c.macs_per_frame for c in [self.dyn_proj, *self.fusion, *self.band_in, *convs])
+
 
 # ---------------------------------------------------------------------------
 # mask head, CRM application, compensation
@@ -474,6 +513,10 @@ class MaskHead:
     def step(self, state, feat_f):
         planes = np.tanh(self.whole.step(state, feat_f)).reshape(RI_PLANES, self.bins)
         return [(planes[2 * ch], planes[2 * ch + 1]) for ch in range(NUM_CHANNELS)]
+
+    @property
+    def macs_per_frame(self):
+        return self.whole.macs_per_frame
 
 
 def apply_crm(noisy_pairs, mask_pairs):
@@ -507,6 +550,10 @@ class CompensationStage:
 
     def step(self, state, frame):
         return self.heads.step(state, self.unet.step(state, frame))
+
+    @property
+    def macs_per_frame(self):  # the heads do elementwise work only, which is not counted
+        return self.unet.macs_per_frame
 
 
 # ---------------------------------------------------------------------------
@@ -659,105 +706,18 @@ class Enhancer:
         for t in self.stage_params(stage).values():
             t.data[...] = 0.0
 
-
-# ---------------------------------------------------------------------------
-# closed-form complexity accounting (independent of the built layers)
-
-
-def _gated2d(cin, cout, kt, kf):
-    return 2 * (cin * cout * kt * kf + cout)
-
-
-def _conv1d_params(cin, cout, k):
-    return cin * cout * k + cout
-
-
-def _mag_tcn_counts(cfg: MagTcnConfig, bins):
-    n_blocks = cfg.groups * cfg.per_group
-    feat, hid = cfg.feature_dim, cfg.hidden_dim
-    per_block = (_conv1d_params(feat, hid, 1) + 2 * _conv1d_params(hid, hid, cfg.kernel)
-                 + _conv1d_params(hid, feat, 1) + 2 * hid)
-    params = _conv1d_params(NUM_CHANNELS * bins, feat, 1) + n_blocks * per_block
-    per_block_macs = (feat * hid + 2 * hid * hid * cfg.kernel + hid * feat)
-    macs = NUM_CHANNELS * bins * feat + n_blocks * per_block_macs
-    return params, macs
-
-
-def _unet_counts(cfg: UnetConfig, in_channels, out_channels, bins):
-    freqs = encoder_freqs(cfg, bins)
-    ch = cfg.channels
-    params = 0
-    macs = 0
-    for lvl in range(cfg.levels):
-        kt, kf = _level_kernel(cfg, lvl)
-        cin = in_channels if lvl == 0 else ch
-        params += _gated2d(cin, ch, kt, kf) + 2 * ch + ch          # conv + IN + PReLU
-        macs += 2 * cin * ch * kt * kf * freqs[lvl + 1]
-        rkt, rkf = cfg.other_kernel
-        for _ in range(cfg.convs_per_level - 1):
-            params += _gated2d(ch, ch, rkt, rkf) + 2 * ch + ch
-            macs += 2 * ch * ch * rkt * rkf * freqs[lvl + 1]
-    bott = ch * freqs[-1]
-    hid = cfg.lstm_hidden
-    for l in range(cfg.lstm_layers):
-        din = bott if l == 0 else hid
-        params += 4 * hid * (din + hid) + 4 * hid
-        macs += 4 * hid * (din + hid)
-    params += hid * bott + bott
-    macs += hid * bott
-    for lvl in range(cfg.levels):
-        kt, kf = _level_kernel(cfg, lvl, decoder=True)
-        in_freq = freqs[cfg.levels - lvl]
-        out_freq = freqs[cfg.levels - 1 - lvl]
-        params += _gated2d(2 * ch, ch, kt, kf) + 2 * ch + ch
-        macs += 2 * (2 * ch) * ch * kt * kf * in_freq
-        rkt, rkf = cfg.other_kernel
-        for _ in range(cfg.convs_per_level - 1):
-            params += _gated2d(ch, ch, rkt, rkf) + 2 * ch + ch
-            macs += 2 * ch * ch * rkt * rkf * out_freq
-    params += ch * out_channels + out_channels
-    macs += ch * out_channels * bins
-    return params, macs
-
-
-def _band_tcn_counts(cfg: BandTcnConfig, fixed_dim, dyn_flat_dim):
-    bd = cfg.band_dim
-    params = _conv1d_params(dyn_flat_dim, cfg.bands * bd, 1)
-    macs = dyn_flat_dim * cfg.bands * bd
-    per_block = (_conv1d_params(bd, bd, 1) * 2 + _conv1d_params(bd, bd, cfg.kernel) + 2 * bd)
-    per_block_macs = 2 * bd * bd + bd * bd * cfg.kernel
-    for b in range(cfg.bands):
-        params += _conv1d_params(fixed_dim + bd, bd, 1)
-        macs += (fixed_dim + bd) * bd
-        cin = bd if b == 0 else 2 * bd
-        params += _conv1d_params(cin, bd, 1)
-        macs += cin * bd
-        params += cfg.blocks_per_band * per_block
-        macs += cfg.blocks_per_band * per_block_macs
-    return params, macs
+    def complexity(self):
+        """Per top-level module: its stored parameters and its MACs per frame."""
+        modules = {"magnitude_tcn": (self.mag_tcn, "stage1.mag_tcn"),
+                   "embedding_unet": (self.unet, "stage1.unet"),
+                   "multiband_tcn": (self.band_tcn, "stage1.band_tcn"),
+                   "mask_head": (self.mask_head, "stage1.mask_head"),
+                   "compensation": (self.comp, "stage2")}
+        return {name: {"params": sum(t.data.size for t in self.stage_params(prefix).values()),
+                       "macs_per_frame": mod.macs_per_frame}
+                for name, (mod, prefix) in modules.items()}
 
 
 def complexity_report(cfg: ModelConfig):
-    """Per-module parameter and MAC/frame counts from the config alone."""
-    bins = cfg.bins
-    report = {}
-    report["magnitude_tcn"] = _mag_tcn_counts(cfg.mag_tcn, bins)
-    report["embedding_unet"] = _unet_counts(cfg.unet, RI_PLANES, cfg.unet.out_channels, bins)
-    fixed_dim = cfg.mag_tcn.feature_dim
-    report["multiband_tcn"] = _band_tcn_counts(cfg.band_tcn, fixed_dim, cfg.unet.out_channels * bins)
-    head_in = cfg.band_tcn.bands * cfg.band_tcn.band_dim
-    report["mask_head"] = (RI_PLANES * _conv1d_params(head_in, bins, 1),
-                           RI_PLANES * head_in * bins)
-    comp_p, comp_m = _unet_counts(cfg.comp, COMP_IN_CHANNELS, RI_PLANES, bins)
-    # the ChannelAffine heads add params but only elementwise work, which is not counted
-    report["compensation"] = (comp_p + 2 * RI_PLANES, comp_m)
-    return {name: {"params": p, "macs_per_frame": m} for name, (p, m) in report.items()}
-
-
-def count_params(cfg: ModelConfig) -> int:
-    return sum(mod["params"] for mod in complexity_report(cfg).values())
-
-
-def count_macs_per_second(cfg: ModelConfig) -> int:
-    per_frame = sum(mod["macs_per_frame"] for mod in complexity_report(cfg).values())
-    return per_frame * FRAMES_PER_SECOND
+    """:meth:`Enhancer.complexity` of a model built from ``cfg``."""
+    return Enhancer(cfg).complexity()

@@ -148,9 +148,9 @@ def check_streaming_equivalence(n_signals=10, seconds=3.0, seed=4):
 
 def check_complexity():
     """Default config inside the published parameter and MAC/s windows."""
-    cfg = model.ModelConfig.default()
-    params = model.count_params(cfg)
-    macs = model.count_macs_per_second(cfg)
+    per_module = model.complexity_report(model.ModelConfig.default())
+    params = sum(m["params"] for m in per_module.values())
+    macs = sum(m["macs_per_frame"] for m in per_module.values()) * model.FRAMES_PER_SECOND
     latency = streaming.LatencyReport().algorithmic_ms
     ok = (25.4e6 <= params <= 34.4e6) and (10.6e9 <= macs <= 14.4e9) and latency == 30.0
     return ok, (f"{params/1e6:.2f}M params in [25.4, 34.4], "
@@ -160,11 +160,10 @@ def check_complexity():
 def check_toy_training(steps=300, seed=5):
     """Tiny model (<50k params) overfits one 2s pair by >= 90%; the staged
     schedule reproduces its scripted phase transitions."""
-    cfg = model.ModelConfig.tiny()
-    n_params = model.count_params(cfg)
+    m = model.Enhancer(model.ModelConfig.tiny(), seed=seed)
+    n_params = m.param_count
     if n_params > 50000:
         return False, f"tiny config has {n_params} params > 50000"
-    m = model.Enhancer(cfg, seed=seed)
     noisy, clean = training.synthetic_pair(seconds=2.0, seed=seed, snr_db=5.0)
     losses = training.overfit_single_pair(m, noisy, clean, steps=steps, lr=3e-3)
     reduction = 1.0 - min(losses) / losses[0]

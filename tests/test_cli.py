@@ -138,6 +138,33 @@ class TestAnalyze:
         assert "total_params" in stdout and "algorithmic_latency_ms: 30.0" in stdout
 
 
+BAD_CONFIG_LINES = ["unet.channels = 0", "unet.channels = four", "mag_tcn.dilations =",
+                    "dtype = banana", "unet.lstm_hidden = -3", "compression = x",
+                    "compression = 0", "compression = 1.5", "comp.first_kernel = 2",
+                    "band_tcn.dilations = 1,0", "unet.freq_stride = 0"]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("command", ["analyze", "enhance"])
+    @pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+    def test_exits_1_with_a_message(self, command, line, wav_48k, tmp_path, capsys):
+        key = line.split("=")[0].strip()
+        text = model.config_to_text(model.ModelConfig.tiny())
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(line + "\n" if ln.startswith(key + " ") else ln + "\n"
+                               for ln in text.splitlines()))
+        assert line in cfg.read_text()
+        argv = {"analyze": ["analyze"],
+                "enhance": ["enhance", wav_48k("x.wav", np.zeros(4800)), str(tmp_path / "o.wav")]}
+        code, stdout, err = run(argv[command] + ["--config", str(cfg)], capsys)
+        assert code == 1
+        assert key in err and "Traceback" not in err and stdout == ""
+
+    def test_missing_config_file_exits_1(self, tmp_path, capsys):
+        code, _, err = run(["analyze", "--config", str(tmp_path / "nope.cfg")], capsys)
+        assert code == 1 and "nope.cfg" in err
+
+
 class TestGradcheckCmd:
     def test_passes_and_prints_table(self, capsys):
         code, stdout, _ = run(["gradcheck", "--seeds", "1", "--report", "json"], capsys)

@@ -1,6 +1,8 @@
 """Model graph: block wiring, band directionality, mask algebra, complexity
 accounting, end-to-end contracts."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from fbse.autodiff import Tensor
 from fbse.errors import ConfigError, NonFiniteInputError, ShapeMismatchError
 from fbse.layers import Conv1d
 from fbse.params import ParamStore
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 @pytest.fixture(scope="module")
@@ -337,16 +341,123 @@ class TestForward:
         assert np.array_equal(tiny.forward(x).samples, other.forward(x).samples)
 
 
+# ---------------------------------------------------------------------------
+# closed-form complexity oracle: the counts from the config alone, independent
+# of the built layers that model.complexity_report reads
+
+
+def _gated2d(cin, cout, kt, kf):
+    return 2 * (cin * cout * kt * kf + cout)
+
+
+def _conv1d_params(cin, cout, k):
+    return cin * cout * k + cout
+
+
+def _mag_tcn_counts(cfg: model.MagTcnConfig, bins):
+    n_blocks = cfg.groups * cfg.per_group
+    feat, hid = cfg.feature_dim, cfg.hidden_dim
+    per_block = (_conv1d_params(feat, hid, 1) + 2 * _conv1d_params(hid, hid, cfg.kernel)
+                 + _conv1d_params(hid, feat, 1) + 2 * hid)
+    params = _conv1d_params(model.NUM_CHANNELS * bins, feat, 1) + n_blocks * per_block
+    per_block_macs = (feat * hid + 2 * hid * hid * cfg.kernel + hid * feat)
+    macs = model.NUM_CHANNELS * bins * feat + n_blocks * per_block_macs
+    return params, macs
+
+
+def _unet_counts(cfg: model.UnetConfig, in_channels, out_channels, bins):
+    freqs = model.encoder_freqs(cfg, bins)
+    ch = cfg.channels
+    params = 0
+    macs = 0
+    for lvl in range(cfg.levels):
+        kt, kf = model._level_kernel(cfg, lvl)
+        cin = in_channels if lvl == 0 else ch
+        params += _gated2d(cin, ch, kt, kf) + 2 * ch + ch          # conv + IN + PReLU
+        macs += 2 * cin * ch * kt * kf * freqs[lvl + 1]
+        rkt, rkf = cfg.other_kernel
+        for _ in range(cfg.convs_per_level - 1):
+            params += _gated2d(ch, ch, rkt, rkf) + 2 * ch + ch
+            macs += 2 * ch * ch * rkt * rkf * freqs[lvl + 1]
+    bott = ch * freqs[-1]
+    hid = cfg.lstm_hidden
+    for l in range(cfg.lstm_layers):
+        din = bott if l == 0 else hid
+        params += 4 * hid * (din + hid) + 4 * hid
+        macs += 4 * hid * (din + hid)
+    params += hid * bott + bott
+    macs += hid * bott
+    for lvl in range(cfg.levels):
+        kt, kf = model._level_kernel(cfg, lvl, decoder=True)
+        in_freq = freqs[cfg.levels - lvl]
+        out_freq = freqs[cfg.levels - 1 - lvl]
+        params += _gated2d(2 * ch, ch, kt, kf) + 2 * ch + ch
+        macs += 2 * (2 * ch) * ch * kt * kf * in_freq
+        rkt, rkf = cfg.other_kernel
+        for _ in range(cfg.convs_per_level - 1):
+            params += _gated2d(ch, ch, rkt, rkf) + 2 * ch + ch
+            macs += 2 * ch * ch * rkt * rkf * out_freq
+    params += ch * out_channels + out_channels
+    macs += ch * out_channels * bins
+    return params, macs
+
+
+def _band_tcn_counts(cfg: model.BandTcnConfig, fixed_dim, dyn_flat_dim):
+    bd = cfg.band_dim
+    params = _conv1d_params(dyn_flat_dim, cfg.bands * bd, 1)
+    macs = dyn_flat_dim * cfg.bands * bd
+    per_block = (_conv1d_params(bd, bd, 1) * 2 + _conv1d_params(bd, bd, cfg.kernel) + 2 * bd)
+    per_block_macs = 2 * bd * bd + bd * bd * cfg.kernel
+    for b in range(cfg.bands):
+        params += _conv1d_params(fixed_dim + bd, bd, 1)
+        macs += (fixed_dim + bd) * bd
+        cin = bd if b == 0 else 2 * bd
+        params += _conv1d_params(cin, bd, 1)
+        macs += cin * bd
+        params += cfg.blocks_per_band * per_block
+        macs += cfg.blocks_per_band * per_block_macs
+    return params, macs
+
+
+def closed_form_report(cfg: model.ModelConfig):
+    """Per-module parameter and MAC/frame counts from the config alone."""
+    bins = cfg.bins
+    report = {}
+    report["magnitude_tcn"] = _mag_tcn_counts(cfg.mag_tcn, bins)
+    report["embedding_unet"] = _unet_counts(cfg.unet, model.RI_PLANES, cfg.unet.out_channels, bins)
+    fixed_dim = cfg.mag_tcn.feature_dim
+    report["multiband_tcn"] = _band_tcn_counts(cfg.band_tcn, fixed_dim, cfg.unet.out_channels * bins)
+    head_in = cfg.band_tcn.bands * cfg.band_tcn.band_dim
+    report["mask_head"] = (model.RI_PLANES * _conv1d_params(head_in, bins, 1),
+                           model.RI_PLANES * head_in * bins)
+    comp_p, comp_m = _unet_counts(cfg.comp, model.COMP_IN_CHANNELS, model.RI_PLANES, bins)
+    # the ChannelAffine heads add params but only elementwise work, which is not counted
+    report["compensation"] = (comp_p + 2 * model.RI_PLANES, comp_m)
+    return {name: {"params": p, "macs_per_frame": m} for name, (p, m) in report.items()}
+
+
+def half_width_config():
+    return model.ModelConfig(
+        mag_tcn=model.MagTcnConfig(feature_dim=128, hidden_dim=128),
+        unet=model.UnetConfig(channels=32, lstm_hidden=190),
+        band_tcn=model.BandTcnConfig(band_dim=128),
+        comp=model.UnetConfig(channels=32, lstm_hidden=190),
+    )
+
+
 class TestComplexity:
     def test_closed_form_matches_allocation(self):
-        for cfg in (model.ModelConfig.tiny(), model.ModelConfig.default()):
+        # the report read off the built layers equals the oracle on every module
+        for cfg in (model.ModelConfig.tiny(), model.ModelConfig.default(), half_width_config()):
             m = model.Enhancer(cfg, seed=0)
-            assert m.param_count == model.count_params(cfg)
+            oracle = closed_form_report(cfg)
+            assert m.complexity() == oracle
+            assert m.param_count == sum(mod["params"] for mod in oracle.values())
 
     def test_default_in_reported_windows(self):
-        cfg = model.ModelConfig.default()
-        params = model.count_params(cfg)
-        macs = model.count_macs_per_second(cfg)
+        oracle = closed_form_report(model.ModelConfig.default())
+        params = sum(mod["params"] for mod in oracle.values())
+        macs = sum(mod["macs_per_frame"] for mod in oracle.values()) * model.FRAMES_PER_SECOND
         assert 25.4e6 <= params <= 34.4e6
         assert 10.6e9 <= macs <= 14.4e9
 
@@ -358,23 +469,22 @@ class TestComplexity:
         assert conv.macs_per_frame * model.FRAMES_PER_SECOND == 3 * 16 * 32 * 100
 
     def test_conv_modules_scale_quadratically_with_width(self):
-        cfg = model.ModelConfig.default()
-        half = model.ModelConfig(
-            mag_tcn=model.MagTcnConfig(feature_dim=128, hidden_dim=128),
-            unet=model.UnetConfig(channels=32, lstm_hidden=190),
-            band_tcn=model.BandTcnConfig(band_dim=128),
-            comp=model.UnetConfig(channels=32, lstm_hidden=190),
-        )
-        full_rep = model.complexity_report(cfg)
-        half_rep = model.complexity_report(half)
+        full_rep = closed_form_report(model.ModelConfig.default())
+        half_rep = closed_form_report(half_width_config())
         for mod in ("magnitude_tcn", "multiband_tcn"):
             ratio = full_rep[mod]["params"] / half_rep[mod]["params"]
             assert 3.0 < ratio < 4.5, (mod, ratio)
 
     def test_report_matches_macs_of_stepped_layers(self, monkeypatch):
+        # default as well as tiny: only default has refiner convs and a second LSTM layer
+        for cfg in (model.ModelConfig.tiny(), model.ModelConfig.default()):
+            with monkeypatch.context() as patch:
+                self._check_stepped_macs(model.Enhancer(cfg, seed=0), patch)
+
+    @staticmethod
+    def _check_stepped_macs(m, monkeypatch):
         # every MAC-counting step kernel adds its own macs_per_frame to the
         # top-level module it runs under; one stream_step must sum to the report
-        m = model.Enhancer(model.ModelConfig.tiny(), seed=0)
         roles = {"mag_tcn": "magnitude_tcn", "unet": "embedding_unet",
                  "band_tcn": "multiband_tcn", "mask_head": "mask_head",
                  "comp": "compensation"}
@@ -400,7 +510,7 @@ class TestComplexity:
             monkeypatch.setattr(cls, "step", kernel_step)
         zeros = np.zeros(m.cfg.bins)
         m.stream_step(m.init_stream_state(), [(zeros, zeros)] * model.NUM_CHANNELS)
-        report = model.complexity_report(m.cfg)
+        report = m.complexity()
         assert traced == {name: report[name]["macs_per_frame"] for name in traced}
 
     def test_latency_constant(self):
@@ -425,3 +535,26 @@ class TestConfigFile:
             model.config_from_text("fbse-config v1\nbogus.key = 3\n")
         with pytest.raises(ConfigError):
             model.config_from_text("not a config\n")
+
+    @pytest.mark.parametrize("name", ["default", "tiny"])
+    def test_shipped_configs_are_pinned(self, name):
+        with open(f"{CONFIGS}/{name}.cfg", encoding="utf-8") as fh:
+            assert fh.read() == model.config_to_text(getattr(model.ModelConfig, name)())
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(mag_tcn=model.MagTcnConfig(dilations=())),
+        dict(mag_tcn=model.MagTcnConfig(kernel=0)),
+        dict(unet=model.UnetConfig(channels=0)),
+        dict(unet=model.UnetConfig(freq_stride=0)),
+        dict(comp=model.UnetConfig(first_kernel=(2,))),
+        dict(band_tcn=model.BandTcnConfig(dilations=(1, -3))),
+        dict(dtype="banana"),
+        dict(compression=0.0),
+        dict(compression=1.5),
+        dict(comp=model.UnetConfig(other_kernel=(2, 4), levels=9)),
+    ], ids=["empty-dilations", "kernel-0", "channels-0", "stride-0", "kernel-not-pair",
+            "dilation-negative", "dtype", "compression-0", "compression-above-1",
+            "comp-ladder-collapses"])
+    def test_model_config_rejects_bad_values(self, kwargs):
+        with pytest.raises(ConfigError):
+            model.ModelConfig(**kwargs)
