@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 bad input audio, 3 bad checkpoint,
 
 import argparse
 import json
+import resource
 import sys
 import time
 
@@ -102,6 +103,7 @@ def cmd_enhance(args) -> int:
         "rtf": round(per_frame_ms / streaming.HOP_MS, 4),
         "algorithmic_latency_ms": streaming.LatencyReport().algorithmic_ms,
         "sdr_in_out_db": round(training.sdr(audio, out), 3),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     _print_report(report, args.report)
     return EXIT_OK

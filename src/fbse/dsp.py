@@ -6,11 +6,12 @@ Each sub-channel is analyzed with a 20 ms / 10 ms-hop periodic Hamming STFT;
 synthesis is weighted overlap-add normalized by the summed squared window, the
 least-squares inverse of Griffin & Lim (1984).
 
-This module is the only definition of that framing: the offline
-:func:`stft`/:func:`istft` and the streaming runtime are both built from
-:func:`analysis_frames` and :func:`synthesis_frames`. A frame spans exactly two
-hops, so the window-energy denominator of any output hop is one of three
-constants (first, middle, last hop) and no running sum is kept.
+This module is the only definition of that framing: :func:`stft`/:func:`istft`,
+the block-wise offline forward and the streaming runtime are all built from
+:func:`analysis_frames` and :func:`synthesis_frames`, all but streaming also from
+:func:`frame_view`, :func:`overlap_add` and :func:`normalize_hops`. A frame
+spans exactly two hops, so the window-energy denominator of any output hop is
+one of three constants (first, middle, last hop) and no running sum is kept.
 
 Complex spectra can be moved between the linear domain and a magnitude-
 compressed domain ``|S|^c * exp(i*arg(S))``.
@@ -131,7 +132,7 @@ class ComplexSpectrum:
         return self.real.shape[0]
 
     def magnitude(self) -> np.ndarray:
-        return np.hypot(self.real, self.imag)
+        return np.sqrt(self.real * self.real + self.imag * self.imag)
 
 
 def extract(x: AudioBuffer) -> SubChannelBank:
@@ -185,19 +186,42 @@ def synthesis_frames(spec: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n=FFT_LEN, axis=-1)[..., :WIN_LEN] * WINDOW
 
 
+def frame_view(signals: np.ndarray) -> np.ndarray:
+    """Signals ``[..., n]`` zero-padded to whole frames, as a strided ``[...,
+    frames, WIN_LEN]`` view whose frame ``t`` is samples ``[t*hop, t*hop + win)``."""
+    n = signals.shape[-1]
+    sig = np.zeros(signals.shape[:-1] + (WIN_LEN + (frame_count(n) - 1) * HOP_LEN,))
+    sig[..., :n] = signals
+    return np.lib.stride_tricks.sliding_window_view(sig, WIN_LEN, axis=-1)[..., ::HOP_LEN, :]
+
+
+def overlap_add(hops: np.ndarray, segs: np.ndarray):
+    """Add the WOLA terms ``segs`` ``[..., n, WIN_LEN]`` of frames ``t0..t0+n-1``
+    into hops ``t0..t0+n``, ``hops`` ``[..., n+1, HOP_LEN]``: each second half,
+    then each first half. Block after block, that is one whole-signal call's sum."""
+    hops[..., 1:, :] += segs[..., HOP_LEN:]
+    hops[..., :-1, :] += segs[..., :HOP_LEN]
+
+
+def normalize_hops(hops: np.ndarray) -> np.ndarray:
+    """Divide the complete hop grid ``[..., frames+1, HOP_LEN]`` in place by
+    the first/middle/last-hop denominators; returns ``hops``."""
+    hops[..., 1:-1, :] /= OLA_DENOM_MIDDLE
+    hops[..., 0, :] /= OLA_DENOM_FIRST
+    hops[..., -1, :] /= OLA_DENOM_LAST
+    return hops
+
+
 def stft(x: AudioBuffer) -> ComplexSpectrum:
     """Hamming-window short-time transform of a 16 kHz signal.
 
-    The tail is zero-padded so the last frame is complete; frame ``t`` covers
-    samples ``[t*hop, t*hop + win)``.
+    The frames are those of :func:`frame_view`.
     """
     if x.sample_rate != SUBBAND_RATE:
         raise InvalidSampleRateError(f"stft needs 16 kHz input, got {x.sample_rate}")
     if x.length == 0:
         raise EmptyInputError("stft of empty signal")
-    sig = np.zeros(WIN_LEN + (frame_count(x.length) - 1) * HOP_LEN, dtype=np.float64)
-    sig[: x.length] = x.samples
-    spec = analysis_frames(np.lib.stride_tricks.sliding_window_view(sig, WIN_LEN)[::HOP_LEN])
+    spec = analysis_frames(frame_view(x.samples))
     return ComplexSpectrum(spec.real.copy(), spec.imag.copy(), LINEAR)
 
 
@@ -210,15 +234,9 @@ def istft(spec: ComplexSpectrum, length: int | None = None) -> AudioBuffer:
     """
     if spec.domain != LINEAR:
         raise DomainError("istft needs a linear-domain spectrum; decompress first")
-    segs = synthesis_frames(spec.real + 1j * spec.imag)
     hops = np.zeros((spec.frames + 1, HOP_LEN), dtype=np.float64)
-    hops[1:] += segs[:, HOP_LEN:]
-    hops[:-1] += segs[:, :HOP_LEN]
-    den = np.empty_like(hops)
-    den[:] = OLA_DENOM_MIDDLE
-    den[0] = OLA_DENOM_FIRST
-    den[-1] = OLA_DENOM_LAST
-    out = (hops / den).reshape(-1)
+    overlap_add(hops, synthesis_frames(spec.real + 1j * spec.imag))
+    out = normalize_hops(hops).reshape(-1)
     if length is not None:
         out = out[:length]
     return AudioBuffer(out, SUBBAND_RATE)
@@ -226,7 +244,7 @@ def istft(spec: ComplexSpectrum, length: int | None = None) -> AudioBuffer:
 
 def compressed_planes(real, imag, c):
     """Return (real, imag) scaled so magnitude becomes |.|**c, phase kept."""
-    mag = np.hypot(real, imag)
+    mag = np.sqrt(real * real + imag * imag)
     scale = np.zeros_like(mag)
     nz = mag > ZERO_MAG_FLOOR
     scale[nz] = mag[nz] ** (c - 1.0)

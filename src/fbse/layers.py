@@ -7,13 +7,16 @@ on plain arrays for the streaming runtime.
 
 Every conv and LSTM layer has one chunk kernel, ``(x, cache) -> (y, cache)``
 over frames that follow those already seen, where a ``None`` cache is a zero
-one: ``__call__`` runs it from ``None``, ``chunk(state, x)`` continues a
-stream and ``step`` is its T=1 case. A stream's state is one flat dict that
-each stateful layer owns a slot of, ``state[layer]``, filled from the layer's
-first input; a kernel-1 ``Conv1d`` keeps none.
+one: ``__call__(x)`` runs it from ``None`` on the tape, ``chunk(state, x)``
+continues a stream and ``step`` is its T=1 case; ``__call__(x, state)`` is
+``Tensor(chunk(state, x.data))``, off the tape, and so the offline forward
+runs block by block. A stream's state is one flat dict that each stateful
+layer owns a slot of, ``state[layer]``, filled from the layer's first input;
+a kernel-1 ``Conv1d`` keeps none.
 ``lstm_chunk`` makes one input GEMM per chunk and one recurrent GEMV per
 frame. A conv caches exactly the ``(kernel-1)*dilation`` past frames it reads
-and makes one GEMM per block of ``TIME_BLOCK`` frames, over strided views of
+(copied after a multi-frame call, so no view pins that call's buffer) and
+makes one GEMM per block of ``TIME_BLOCK`` frames, over strided views of
 ``[cache; x]`` (built by the ``np.ndarray`` constructor; ``as_strided`` costs
 five Python calls): the ``[Cout, Cin*K]`` weight times im2col columns, dilated
 in time (``conv1d_chunk``; kernel 1 multiplies ``x`` itself) or strided in
@@ -72,7 +75,7 @@ def conv1d_chunk(x, cache, w, b, d):
         for t0 in range(0, t, TIME_BLOCK):
             blk = slice(t0, t0 + TIME_BLOCK)
             np.matmul(wmat, taps[:, :, blk].reshape(cin * k, -1), out=y[:, blk])
-        cache = xp[:, t:]
+        cache = xp[:, t:] if t == 1 else xp[:, t:].copy()
     y += b[:, None]
     return y, cache
 
@@ -123,8 +126,8 @@ class Conv1d:
     def op(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return conv1d_op(x, w, b, self.dilation)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.op(x, self.w, self.b)
+    def __call__(self, x: Tensor, state=None) -> Tensor:
+        return self.op(x, self.w, self.b) if state is None else Tensor(self.chunk(state, x.data))
 
     def chunk(self, state, x):
         """[Cin,T] frames that follow those already seen -> [Cout,T]; the cache
@@ -182,7 +185,8 @@ def conv2d_chunk(x, cache, w, b, stride, pad):
         yb = y[:, t0 * fo : (t0 + n) * fo]
         np.matmul(wmat, _conv2d_cols(xp, t0, n, kt, kf, stride), out=yb)
         yb += b[:, None]
-    return y.reshape(cout, t, fo), xp[:, t:, pad : pad + f]
+    cache = xp[:, t:, pad : pad + f]
+    return y.reshape(cout, t, fo), cache if t == 1 else cache.copy()
 
 
 def conv2d_forward(x, w, b, stride, pad):
@@ -255,8 +259,8 @@ class Conv2d:
     def op(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return conv2d_op(x, w, b, self.stride, self.pad)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.op(x, self.w, self.b)
+    def __call__(self, x: Tensor, state=None) -> Tensor:
+        return self.op(x, self.w, self.b) if state is None else Tensor(self.chunk(state, x.data))
 
     def chunk(self, state, x):
         """[Cin,T,F] frames that follow those already seen -> [Cout,T,Fo]."""
@@ -316,7 +320,7 @@ def conv_transpose2d_chunk(x, cache, w, b, stride, pad, out_freq):
         contrib = (wmat @ _deconv_cols(xp, t0, n, kt)).reshape(cout, kf, n, f)
         for j, out_bins, in_bins in scatter:
             y[:, t0 : t0 + n, out_bins] += contrib[:, j, :, in_bins]
-    return y, xp[:, t:]
+    return y, xp[:, t:] if t == 1 else xp[:, t:].copy()
 
 
 def conv_transpose2d_forward(x, w, b, stride, pad, out_freq):
@@ -386,8 +390,8 @@ class ConvTranspose2d:
         out_freq = self.out_freq or self.natural_out_freq(x.data.shape[2])
         return conv_transpose2d_op(x, w, b, self.stride, self.pad, out_freq)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.op(x, self.w, self.b)
+    def __call__(self, x: Tensor, state=None) -> Tensor:
+        return self.op(x, self.w, self.b) if state is None else Tensor(self.chunk(state, x.data))
 
     def chunk(self, state, x):
         """[Cin,T,F] frames that follow those already seen -> [Cout,T,out_freq]."""
@@ -429,8 +433,11 @@ def stacked(cls, store, name, part_names, cin, cout, *args):
     return parts, whole
 
 
-def stacked_op(whole, parts, x: Tensor) -> Tensor:
-    """``whole``'s op on the tape, its weight gradients split into ``parts``."""
+def stacked_op(whole, parts, x: Tensor, state=None) -> Tensor:
+    """``whole``'s op on the tape, its weight gradients split into ``parts``;
+    given a stream ``state``, ``whole(x, state)`` off it."""
+    if state is not None:
+        return whole(x, state)
     w = ad.concat([p.w for p in parts], data=whole.w.data)
     b = ad.concat([p.b for p in parts], data=whole.b.data)
     return whole.op(x, w, b)
@@ -470,8 +477,8 @@ class _Gated:
         (self.lin, self.gate), self.pair = stacked(
             cls, store, name, (f"{name}.lin", f"{name}.gate"), cin, cout, *args)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return gate_op(stacked_op(self.pair, (self.lin, self.gate), x))
+    def __call__(self, x: Tensor, state=None) -> Tensor:
+        return gate_op(stacked_op(self.pair, (self.lin, self.gate), x, state))
 
     def chunk(self, state, x):
         return gate_halves(self.pair.chunk(state, x))
@@ -734,7 +741,9 @@ class Lstm:
             # zero biases keep the whole graph silence-preserving at init
             self.bs.append(store.add(f"{name}.l{l}.bias", (4 * hidden,), zero=True))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, state=None) -> Tensor:
+        if state is not None:
+            return Tensor(self.chunk(state, x.data))
         ws, bs = self.ws, self.bs
         weights = [w.data for w in ws]
         y, caches = lstm_seq_forward(x.data, weights, [b.data for b in bs])

@@ -34,6 +34,7 @@ from .layers import (
     InstanceNorm,
     Linear,
     Lstm,
+    TIME_BLOCK,
     PReLU,
     gate_halves,
     gate_op,
@@ -252,10 +253,10 @@ class GatedTcnBlock:
         self.act_mid = PReLU(store, f"{name}.act_mid", hid)
         self.pw_out = Conv1d(store, f"{name}.pw_out", hid, feat, 1, gain=_branch_gain(depth))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        h = self.act_in(self.pw_in(x))
-        g = gate_op(stacked_op(self.dil, (self.dil_lin, self.dil_gate), h))
-        return ad.add(x, self.pw_out(self.act_mid(g)))
+    def __call__(self, x: Tensor, state=None) -> Tensor:
+        h = self.act_in(self.pw_in(x, state))
+        g = gate_op(stacked_op(self.dil, (self.dil_lin, self.dil_gate), h, state))
+        return ad.add(x, self.pw_out(self.act_mid(g), state))
 
     def step(self, state, frame):
         h = self.act_in.step(state, self.pw_in.step(state, frame))
@@ -281,10 +282,10 @@ class GatedTcnStack:
         """Frames seen by the final output: 1 + sum of (k-1)*d over blocks."""
         return 1 + sum((b.dil.kernel - 1) * b.dil.dilation for b in self.blocks)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        h = self.in_proj(x)
+    def __call__(self, x: Tensor, state=None) -> Tensor:
+        h = self.in_proj(x, state)
         for b in self.blocks:
-            h = b(h)
+            h = b(h, state)
         return h
 
     def step(self, state, frame):
@@ -322,10 +323,10 @@ class _UnetLevel:
                 PReLU(store, f"{name}.ref{r}.act", ch),
             ))
 
-    def __call__(self, x: Tensor, training) -> Tensor:
-        h = self.act(self.norm(self.main(x), training))
+    def __call__(self, x: Tensor, training, state=None) -> Tensor:
+        h = self.act(self.norm(self.main(x, state), training))
         for conv, norm, act in self.refiners:
-            h = act(norm(conv(h), training))
+            h = act(norm(conv(h, state), training))
         return h
 
     def step(self, state, frame):
@@ -360,22 +361,22 @@ class RecurrentUnet:
                                            decoder=True, out_freq=self.freqs[cfg.levels - 1 - lvl]))
         self.out_conv = Conv2d(store, f"{name}.out_conv", ch, out_channels, (1, 1), stride=1, pad=0)
 
-    def __call__(self, x: Tensor, training=False) -> Tensor:
+    def __call__(self, x: Tensor, training=False, state=None) -> Tensor:
         if x.data.shape[0] != self.in_channels:
             raise ShapeMismatchError(
                 f"expected {self.in_channels}-channel input, got {x.data.shape[0]}")
         skips = []
         h = x
         for level in self.encoder:
-            h = level(h, training)
+            h = level(h, training, state)
             skips.append(h)
         ch, t, fb = h.data.shape
         flat = ad.reshape(ad.moveaxis(h, 0, 1), (t, ch * fb))
-        emb = self.unflatten(self.lstm(flat))
+        emb = self.unflatten(self.lstm(flat, state))
         h = ad.moveaxis(ad.reshape(emb, (t, ch, fb)), 0, 1)
         for lvl, level in enumerate(self.decoder):
-            h = level(ad.concat([h, skips[self.cfg.levels - 1 - lvl]], axis=0), training)
-        return self.out_conv(h)
+            h = level(ad.concat([h, skips[self.cfg.levels - 1 - lvl]], axis=0), training, state)
+        return self.out_conv(h, state)
 
     def step(self, state, frame):
         skips = []
@@ -414,9 +415,9 @@ class TcnBlock:
         self.act_mid = PReLU(store, f"{name}.act_mid", dim)
         self.pw_out = Conv1d(store, f"{name}.pw_out", dim, dim, 1, gain=_branch_gain(depth))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        h = self.act_mid(self.dil(self.act_in(self.pw_in(x))))
-        return ad.add(x, self.pw_out(h))
+    def __call__(self, x: Tensor, state=None) -> Tensor:
+        h = self.act_mid(self.dil(self.act_in(self.pw_in(x, state)), state))
+        return ad.add(x, self.pw_out(h, state))
 
     def step(self, state, frame):
         h = self.act_mid.step(state, self.dil.step(state, self.act_in.step(state, self.pw_in.step(state, frame))))
@@ -449,21 +450,21 @@ class MultiBandTcn:
                                        cfg.kernel, d, depth=cfg.bands * cfg.blocks_per_band))
             self.bands.append(blocks)
 
-    def __call__(self, fixed: Tensor, dyn_flat: Tensor) -> Tensor:
+    def __call__(self, fixed: Tensor, dyn_flat: Tensor, state=None) -> Tensor:
         if fixed.data.shape[0] != self.fixed_dim:
             raise ShapeMismatchError(
                 f"fixed embedding dim {fixed.data.shape[0]} != {self.fixed_dim}")
-        dyn = self.dyn_proj(dyn_flat)
+        dyn = self.dyn_proj(dyn_flat, state)
         bd = self.cfg.band_dim
         outs = []
         prev = None
         for b in range(self.cfg.bands):
             y = ad.narrow(dyn, 0, b * bd, (b + 1) * bd)
-            y = self.fusion[b](ad.concat([fixed, y], axis=0))
+            y = self.fusion[b](ad.concat([fixed, y], axis=0), state)
             h = y if prev is None else ad.concat([prev, y], axis=0)
-            h = self.band_in[b](h)
+            h = self.band_in[b](h, state)
             for blk in self.bands[b]:
-                h = blk(h)
+                h = blk(h, state)
             outs.append(h)
             prev = h
         return ad.concat(outs, axis=0)
@@ -545,8 +546,8 @@ class CompensationStage:
                                   RI_PLANES, bins)
         self.heads = ChannelAffine(store, f"{name}.heads", RI_PLANES)
 
-    def __call__(self, planes: Tensor, training=False) -> Tensor:
-        return self.heads(self.unet(planes, training))
+    def __call__(self, planes: Tensor, training=False, state=None) -> Tensor:
+        return self.heads(self.unet(planes, training, state))
 
     def step(self, state, frame):
         return self.heads.step(state, self.unet.step(state, frame))
@@ -598,25 +599,28 @@ class Enhancer:
     # -- spectra-level forward (tape) --------------------------------------
 
     def enhance_spectra(self, noisy_pairs, training=False,
-                        disable_compensation=False) -> StageTensors:
+                        disable_compensation=False, state=None) -> StageTensors:
         """Run both stages on compressed (real, imag) plane pairs.
 
         ``noisy_pairs`` is a list of 3 ``(real, imag)`` arrays of shape [T, F].
-        ``disable_compensation`` stops after stage 1.
+        ``disable_compensation`` stops after stage 1. Frames given a stream
+        ``state`` (``{}`` when fresh) continue it, untaped and at inference only.
         """
         if len(noisy_pairs) != NUM_CHANNELS:
             raise ShapeMismatchError(f"expected {NUM_CHANNELS} sub-channels")
+        if state is not None and (training or ad.grad_enabled()):
+            raise ValueError("a stream state runs untaped inference: training=False under no_grad")
         const = [(Tensor(np.ascontiguousarray(r, dtype=self.dtype)),
                   Tensor(np.ascontiguousarray(i, dtype=self.dtype)))
                  for r, i in noisy_pairs]
-        mags = [np.hypot(r.data, i.data).T for r, i in const]          # [F, T] each
+        mags = [np.sqrt(r.data * r.data + i.data * i.data).T for r, i in const]  # [F, T]
         mag_flat = Tensor(np.concatenate(mags, axis=0))                # [3F, T]
-        fixed = self.mag_tcn(mag_flat)
+        fixed = self.mag_tcn(mag_flat, state)
         unet_in = ad.concat([ad.reshape(p, (1,) + p.data.shape)
                              for pair in const for p in pair], axis=0)  # [6, T, F]
-        dyn = self.unet(unet_in, training)                              # [C_out, T, F]
+        dyn = self.unet(unet_in, training, state)                       # [C_out, T, F]
         dyn_flat = ad.reshape(ad.moveaxis(dyn, 1, 2), (-1, dyn.data.shape[1]))
-        feats = self.band_tcn(fixed, dyn_flat)
+        feats = self.band_tcn(fixed, dyn_flat, state)
         masked = apply_crm(const, self.mask_head(feats))
         if disable_compensation:
             t, f = const[0][0].data.shape
@@ -624,7 +628,7 @@ class Enhancer:
             return StageTensors(masked, comp_zero, list(masked))
         comp_planes = [ad.reshape(p, (1,) + p.data.shape)
                        for p in _stack_planes(const) + _stack_planes(masked)]
-        comp_out = self.comp(ad.concat(comp_planes, axis=0), training)  # [6, T, F]
+        comp_out = self.comp(ad.concat(comp_planes, axis=0), training, state)  # [6, T, F]
         enhanced = []
         for ch in range(NUM_CHANNELS):
             cr = ad.reshape(ad.narrow(comp_out, 0, 2 * ch, 2 * ch + 1), masked[ch][0].data.shape)
@@ -634,38 +638,31 @@ class Enhancer:
 
     # -- audio-level forward ------------------------------------------------
 
-    def _analysis(self, audio: dsp.AudioBuffer):
-        bank = dsp.extract(audio)
-        specs = [dsp.stft(ch) for ch in bank.channels]
-        comp = [dsp.compress(s, self.cfg.compression) for s in specs]
-        return bank, comp
-
-    def _synthesis(self, enhanced_pairs, sub_len, origin_len):
-        outs = []
-        for r, i in enhanced_pairs:
-            spec = dsp.ComplexSpectrum(np.asarray(r, dtype=np.float64),
-                                       np.asarray(i, dtype=np.float64),
-                                       dsp.COMPRESSED, exponent=self.cfg.compression)
-            lin = dsp.decompress(spec, self.cfg.compression)
-            outs.append(dsp.istft(lin, length=sub_len))
-        bank = dsp.SubChannelBank(tuple(outs), origin_length=origin_len)
-        return dsp.interpolate(bank)
-
     def forward(self, audio: dsp.AudioBuffer, disable_compensation=False) -> dsp.AudioBuffer:
         """Offline enhancement of a 48 kHz buffer; output length == input length.
 
-        A buffer holding NaN or inf raises
-        :class:`~fbse.errors.NonFiniteInputError` before any work is done.
+        The frames run ``TIME_BLOCK`` at a time, analysis to overlap-add, and
+        carry one stream state: memory is O(model + block) besides the samples.
+        NaN or inf samples raise :class:`~fbse.errors.NonFiniteInputError` first.
         """
         if not np.isfinite(audio.samples).all():
             raise NonFiniteInputError("audio holds NaN or inf samples")
-        bank, comp = self._analysis(audio)
-        pairs = [(s.real, s.imag) for s in comp]
+        frames = dsp.frame_view(np.array([ch.samples for ch in dsp.extract(audio).channels]))
+        hops = np.zeros((NUM_CHANNELS, frames.shape[1] + 1, dsp.HOP_LEN))  # [3, T+1, HOP]
+        state, c = {}, self.cfg.compression
         with no_grad():
-            st = self.enhance_spectra(pairs, training=False,
-                                      disable_compensation=disable_compensation)
-        enhanced = [(r.data, i.data) for r, i in st.enhanced]
-        return self._synthesis(enhanced, bank.channel_length, bank.origin_length)
+            for t0 in range(0, frames.shape[1], TIME_BLOCK):
+                spec = dsp.analysis_frames(frames[:, t0 : t0 + TIME_BLOCK])  # [3, n, F]
+                pairs = list(zip(*dsp.compressed_planes(spec.real, spec.imag, c)))
+                st = self.enhance_spectra(pairs, disable_compensation=disable_compensation, state=state)
+                out = np.array([[p.data for p in pair] for pair in st.enhanced], dtype=np.float64)
+                lr, li = dsp.compressed_planes(out[:, 0], out[:, 1], 1.0 / c)
+                dsp.overlap_add(hops[:, t0 : t0 + TIME_BLOCK + 1], dsp.synthesis_frames(lr + 1j * li))
+        del frames
+        subs = dsp.normalize_hops(hops).reshape(NUM_CHANNELS, -1)  # interpolate trims them
+        bank = dsp.SubChannelBank(tuple(dsp.AudioBuffer(ch, dsp.SUBBAND_RATE) for ch in subs),
+                                  origin_length=audio.length)
+        return dsp.interpolate(bank)
 
     def stage1_forward(self, audio: dsp.AudioBuffer) -> dsp.AudioBuffer:
         """Masking-only pipeline (compensation stage bypassed entirely)."""
@@ -679,9 +676,8 @@ class Enhancer:
 
     def stream_step(self, state, frame_pairs):
         """One hop: 3 compressed (real[F], imag[F]) pairs in, same out."""
-        mags = [np.hypot(r, i) for r, i in frame_pairs]
-        fixed = self.mag_tcn.step(state, np.concatenate(mags))
-        unet_in = np.stack([p for pair in frame_pairs for p in pair], axis=0)
+        unet_in = np.stack([p for pair in frame_pairs for p in pair], axis=0)  # [6, F]
+        fixed = self.mag_tcn.step(state, np.sqrt(unet_in[0::2] ** 2 + unet_in[1::2] ** 2).ravel())
         dyn = self.unet.step(state, unet_in)           # [C_out, F]
         feats = self.band_tcn.step(state, fixed, dyn.reshape(-1))
         masks = self.mask_head.step(state, feats)

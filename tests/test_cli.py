@@ -62,6 +62,7 @@ class TestEnhance:
         assert rep["algorithmic_latency_ms"] == 30.0
         assert rep["samples"] == 9600
         assert "per_frame_ms" in rep and "rtf" in rep and "sdr_in_out_db" in rep
+        assert rep["peak_rss_mb"] > 0
 
     def test_non_48k_input_exits_2(self, tiny_cfg_path, tmp_path, capsys):
         path = tmp_path / "w16.wav"

@@ -2,6 +2,7 @@
 accounting, end-to-end contracts."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,19 @@ class TestCompensation:
         assert tiny.comp.unet.out_channels == 6
 
 
+def whole_analysis(audio, c):
+    """Sub-channels and their compressed spectra, each signal in one call."""
+    bank = dsp.extract(audio)
+    return bank, [dsp.compress(dsp.stft(ch), c) for ch in bank.channels]
+
+
+def whole_synthesis(pairs, bank, c):
+    """The 48 kHz signal of compressed (real, imag) spectra, each in one call."""
+    outs = [dsp.istft(dsp.decompress(dsp.ComplexSpectrum(r, i, dsp.COMPRESSED, c), c),
+                      length=bank.channel_length) for r, i in pairs]
+    return dsp.interpolate(dsp.SubChannelBank(tuple(outs), bank.origin_length))
+
+
 class TestForward:
     def test_zero_input_zero_output(self, tiny):
         out = tiny.forward(dsp.AudioBuffer(np.zeros(4800), 48000))
@@ -295,10 +309,52 @@ class TestForward:
 
     def test_pipeline_transparency_with_identity_mask(self, tiny):
         x = rand_audio(9600, seed=6)
-        bank, comp = tiny._analysis(x)
-        y = tiny._synthesis([(s.real, s.imag) for s in comp], bank.channel_length,
-                            bank.origin_length)
+        c = tiny.cfg.compression
+        bank, comp = whole_analysis(x, c)
+        y = whole_synthesis([(s.real, s.imag) for s in comp], bank, c)
         assert np.max(np.abs(y.samples - x.samples)) < 1e-5
+
+    @pytest.mark.parametrize("frames", [1, 31, 32, 33, 64, 65])
+    def test_blocks_equal_the_whole_sequence_on_the_tape(self, tiny, frames):
+        """forward runs TIME_BLOCK frames at a time; the training path runs
+        every frame in one taped graph."""
+        assert layers.TIME_BLOCK == 32
+        x = rand_audio(3 * (dsp.WIN_LEN + (frames - 1) * dsp.HOP_LEN) - 1, seed=frames)
+        c = tiny.cfg.compression
+        bank, comp = whole_analysis(x, c)
+        assert comp[0].frames == frames
+        for run, stage1 in ((tiny.forward, False), (tiny.stage1_forward, True)):
+            st = tiny.enhance_spectra([(s.real, s.imag) for s in comp],
+                                      disable_compensation=stage1)
+            assert st.enhanced[0][0].requires_grad
+            ref = whole_synthesis([(r.data, i.data) for r, i in st.enhanced], bank, c)
+            np.testing.assert_allclose(run(x).samples, ref.samples, rtol=0, atol=1e-12)
+
+    def test_stream_state_refuses_training_and_the_tape(self, tiny):
+        pairs = [(np.ones((2, 161)), np.ones((2, 161)))] * 3
+        with pytest.raises(ValueError):
+            tiny.enhance_spectra(pairs, state={})
+        with ad.no_grad(), pytest.raises(ValueError):
+            tiny.enhance_spectra(pairs, training=True, state={})
+
+    def test_calls_share_no_state(self, tiny):
+        x = rand_audio(72000, seed=13)
+        first = tiny.forward(x).samples
+        assert np.array_equal(tiny.forward(x).samples, first)
+
+    def test_memory_does_not_grow_with_the_input(self, tiny):
+        """The traced peak of a 20 s forward exceeds a 2 s one's by at most
+        2 MB per extra second; one float64 copy of 48 kHz audio takes 0.38."""
+        peaks = {}
+        for secs in (2, 20):
+            x = rand_audio(secs * 48000, seed=secs)
+            tracemalloc.start()
+            try:
+                tiny.forward(x)
+                peaks[secs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[20] - peaks[2]) / 18 <= 2e6, peaks
 
     @pytest.mark.parametrize("n", [480, 961, 48000])
     def test_length_contract(self, tiny, n):

@@ -215,6 +215,15 @@ class TestChunkEquivalence:
                                       for t in range(0, CHUNK_T, size)], axis=1)
             np.testing.assert_allclose(chunked, offline, atol=1e-12, err_msg=f"chunk {size}")
 
+    @pytest.mark.parametrize("name", sorted(CHUNK_LAYERS))
+    def test_state_after_a_long_chunk_owns_its_memory(self, name):
+        """A cache kept as a view would pin the chunk's whole ``[cache; x]``
+        buffer alive: one time block per layer for the offline forward."""
+        build, cin, freq = CHUNK_LAYERS[name]
+        state = {}
+        build(ParamStore(13)).chunk(state, np.ones((cin, CHUNK_T, freq)))
+        assert all(arr.flags.owndata for arr in state.values())
+
 
 class TestStreamContract:
     def test_emission_schedule_and_counter(self, tiny_model):
