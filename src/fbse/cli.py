@@ -13,14 +13,7 @@ import time
 import numpy as np
 
 from . import __version__, audio_io, dsp, gradcheck, model, streaming, training
-from .errors import (
-    AudioFormatError,
-    CheckpointError,
-    ConfigError,
-    FbseError,
-    InvalidSampleRateError,
-    NonFiniteInputError,
-)
+from .errors import CheckpointError, ConfigError, EmptyInputError, FbseError, InvalidSampleRateError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,10 +42,23 @@ def _load_model(args):
 
 
 def _read_48k(path):
+    """A 48 kHz WAV with at least one sample; bad audio raises an :class:`FbseError`."""
     buf = audio_io.read_wav(path)
     if buf.sample_rate != dsp.FULLBAND_RATE:
         raise InvalidSampleRateError(f"{path}: engine input must be 48 kHz, got {buf.sample_rate}")
+    if buf.length == 0:
+        raise EmptyInputError(f"{path}: holds no samples")
     return buf
+
+
+def _write_output(path, buf, fmt) -> bool:
+    """Write the output WAV; an unwritable path prints one line and gives False."""
+    try:
+        audio_io.write_wav(path, buf, fmt=fmt)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _print_report(report: dict, fmt: str):
@@ -79,7 +85,7 @@ def cmd_enhance(args) -> int:
         return EXIT_USAGE
     try:
         audio = _read_48k(args.input)
-    except (AudioFormatError, InvalidSampleRateError, NonFiniteInputError, OSError) as exc:
+    except (FbseError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_AUDIO
     t0 = time.perf_counter()
@@ -88,7 +94,8 @@ def cmd_enhance(args) -> int:
     else:
         out = m.forward(audio)
     elapsed = time.perf_counter() - t0
-    audio_io.write_wav(args.output, out, fmt=args.format)
+    if not _write_output(args.output, out, args.format):
+        return EXIT_USAGE
     frames = dsp.frame_count(-(-audio.length // 3))
     per_frame_ms = 1000.0 * elapsed / max(frames, 1)
     report = {
@@ -154,11 +161,11 @@ def cmd_mix(args) -> int:
         noise = _read_48k(args.noise)
         rng = np.random.default_rng(args.seed)
         noisy, scaled_clean = training.mix_at_snr(clean, noise, args.snr, rng)
-    except (AudioFormatError, InvalidSampleRateError, NonFiniteInputError, ValueError,
-            OSError) as exc:
+    except (FbseError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_AUDIO
-    audio_io.write_wav(args.output, noisy, fmt=args.format)
+    if not _write_output(args.output, noisy, args.format):
+        return EXIT_USAGE
     noise_part = noisy.samples - scaled_clean.samples
     measured = 10.0 * np.log10(np.sum(scaled_clean.samples**2) / np.sum(noise_part**2))
     _print_report({"output": str(args.output), "requested_snr_db": args.snr,
@@ -171,7 +178,7 @@ def cmd_sdr(args) -> int:
         ref = audio_io.read_wav(args.reference)
         est = audio_io.read_wav(args.estimate)
         value = training.sdr(ref, est)
-    except (AudioFormatError, InvalidSampleRateError, OSError, FbseError) as exc:
+    except (FbseError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_AUDIO
     _print_report({"sdr_db": round(value, 4)}, args.report)

@@ -42,7 +42,10 @@ class StreamClosedError(FbseError):
 
 
 class AudioFormatError(FbseError):
-    """WAV file is not mono PCM16 / float32 little-endian RIFF."""
+    """WAV file is not a mono little-endian RIFF file of PCM16, IEEE float32 or
+    IEEE float64 samples (plain or as a ``WAVE_FORMAT_EXTENSIBLE`` subformat),
+    or is malformed: a missing ``fmt `` or ``data`` chunk, a chunk that runs
+    past the end of the file, or a ``block_align`` that does not match."""
 
 
 class CheckpointError(FbseError):

@@ -50,6 +50,10 @@ FRAMES_PER_SECOND = dsp.SUBBAND_RATE // dsp.HOP_LEN
 
 CONFIG_FORMAT = "fbse-config"
 CONFIG_VERSION = 1
+# bound on every size, kernel, stride, dilation and count of a config section;
+# without it a stride-1 U-net of 10**9 levels makes the frequency ladder a
+# 10**9-entry list before any layer is built
+MAX_CONFIG_SIZE = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +109,18 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
-        """Every size, kernel, stride, dilation and count of a section is at least 1,
-        and a tuple of them is non-empty; a U-net kernel is a (time, freq) pair."""
+        """Every size, kernel, stride, dilation and count of a section is in
+        [1, MAX_CONFIG_SIZE], and a tuple of them is non-empty; a U-net kernel
+        is a (time, freq) pair."""
         for name in _SECTIONS:
             sub = getattr(self, name)
             for f in fields(sub):
                 v = getattr(sub, f.name)
                 vals = v if isinstance(v, tuple) else (v,)
-                if not vals or min(vals) < 1 or (f.name.endswith("_kernel") and len(vals) != 2):
-                    raise ConfigError(f"{name}.{f.name} = {_fmt_value(v)}: sizes are at least 1, "
-                                      "U-net kernels (time, freq) pairs")
+                if (not vals or min(vals) < 1 or max(vals) > MAX_CONFIG_SIZE
+                        or (f.name.endswith("_kernel") and len(vals) != 2)):
+                    raise ConfigError(f"{name}.{f.name} = {_fmt_value(v)}: sizes are 1 to "
+                                      f"{MAX_CONFIG_SIZE}, U-net kernels (time, freq) pairs")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype = {self.dtype!r}: must be float32 or float64")
         if not 0 < self.compression <= 1:

@@ -1,12 +1,17 @@
 """CLI surface: subcommands, exit codes, report formats, determinism."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from fbse import audio_io, cli, dsp, model, training
+from fbse.errors import FbseError
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +125,57 @@ class TestEnhance:
                         "--seed", "11"], capsys)[0] == 0
             outs.append(audio_io.read_wav(out).samples)
         assert np.array_equal(outs[0], outs[1])
+
+
+class TestBadAudioBoundary:
+    """Bad input audio exits 2 and an unwritable output exits 1, each with one line."""
+
+    def test_zero_sample_wav_exits_2(self, tiny_cfg_path, wav_48k, tmp_path, capsys):
+        inp = wav_48k("empty.wav", np.zeros(0))
+        code, _, err = run(["enhance", inp, str(tmp_path / "o.wav"), "--config", tiny_cfg_path],
+                           capsys)
+        assert code == 2
+        assert "no samples" in err and "Traceback" not in err
+
+    def test_truncated_pcm16_wav_exits_2(self, tiny_cfg_path, tmp_path, capsys):
+        path = tmp_path / "cut.wav"
+        audio_io.write_wav(path, dsp.AudioBuffer(np.zeros(4800), 48000), fmt="pcm16")
+        path.write_bytes(path.read_bytes()[:30])
+        code, _, err = run(["enhance", str(path), str(tmp_path / "o.wav"),
+                            "--config", tiny_cfg_path], capsys)
+        assert code == 2
+        assert err.startswith("input error:") and "Traceback" not in err
+
+    def test_output_in_a_missing_directory_exits_1(self, tiny_cfg_path, wav_48k, tmp_path,
+                                                   capsys):
+        inp = wav_48k("x.wav", np.zeros(4800))
+        code, stdout, err = run(["enhance", inp, str(tmp_path / "no" / "o.wav"),
+                                 "--config", tiny_cfg_path], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("output error:") and len(err.splitlines()) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut=st.integers(0, 44 + 4 * 960),
+           edits=st.lists(st.tuples(st.integers(0, 59), st.binary(min_size=1, max_size=4)),
+                          max_size=3))
+    def test_mutated_wav_exits_0_or_2(self, tiny_cfg_path, tmp_path_factory, cut, edits):
+        path = tmp_path_factory.getbasetemp() / "mutated.wav"
+        audio_io.write_wav(path, dsp.AudioBuffer(np.full(960, 0.25), 48000))
+        raw = bytearray(path.read_bytes())
+        for pos, value in edits:
+            raw[pos : pos + len(value)] = value
+        path.write_bytes(bytes(raw[:cut]))
+        try:
+            audio_io.read_wav(path)
+            readable = True
+        except FbseError:
+            readable = False
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["enhance", str(path), str(path.with_suffix(".out.wav")),
+                             "--config", tiny_cfg_path])
+        assert code in ((0, 2) if readable else (2,)), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestAnalyze:

@@ -182,6 +182,20 @@ class TestInstanceNorm:
             ref = norm.gamma.data[c] * (x[c] - mu) / np.sqrt(var + norm.eps) + norm.beta.data[c]
             np.testing.assert_allclose(out[c], ref, atol=1e-8)
 
+    def test_training_call_moves_running_stats_toward_the_batch(self):
+        rng = np.random.default_rng(10)
+        norm = layers.InstanceNorm(ParamStore(10), "n", 3)
+        norm.run_mean[...] = [0.5, -1.0, 2.0]
+        norm.run_var[...] = [1.0, 3.0, 0.5]
+        old_mean, old_var = norm.run_mean.copy(), norm.run_var.copy()
+        x = rng.standard_normal((3, 7, 5)) * [[[1.0]], [[2.0]], [[0.5]]] + 4.0
+        norm(Tensor(x), training=True)
+        keep = norm.decay
+        np.testing.assert_allclose(norm.run_mean,
+                                   keep * old_mean + (1 - keep) * x.mean(axis=(1, 2)), rtol=1e-12)
+        np.testing.assert_allclose(norm.run_var,
+                                   keep * old_var + (1 - keep) * x.var(axis=(1, 2)), rtol=1e-12)
+
     def test_eval_uses_frozen_stats(self):
         rng = np.random.default_rng(9)
         norm = layers.InstanceNorm(ParamStore(9), "n", 2)

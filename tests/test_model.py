@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbse import autodiff as ad
 from fbse import dsp, layers, model
@@ -614,3 +616,41 @@ class TestConfigFile:
     def test_model_config_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             model.ModelConfig(**kwargs)
+
+    def test_sizes_above_the_bound_are_refused(self):
+        with pytest.raises(ConfigError, match="unet.levels"):
+            model.ModelConfig(unet=model.UnetConfig(levels=model.MAX_CONFIG_SIZE + 1,
+                                                    freq_stride=1))
+        with pytest.raises(ConfigError, match="band_tcn.dilations"):
+            model.ModelConfig(band_tcn=model.BandTcnConfig(dilations=(1, model.MAX_CONFIG_SIZE + 1)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_config_text_gives_a_config_or_config_error(self, data):
+        lines = model.config_to_text(model.ModelConfig.tiny()).splitlines()
+        if data.draw(st.booleans()):
+            lines = [data.draw(st.text(max_size=80))]
+        # wide enough to cross MAX_CONFIG_SIZE, small enough that a U-net of that
+        # many levels stays cheap should the bound ever go
+        ints = st.integers(-10**6, 10**6).map(str)
+        value = (ints | st.lists(ints, max_size=3).map(",".join) | st.floats().map(repr)
+                 | st.text(max_size=12))
+        for _ in range(data.draw(st.integers(0, 4))):
+            i = data.draw(st.integers(0, len(lines) - 1))
+            key = lines[i].split("=")[0]
+            edit = data.draw(st.sampled_from(["value", "drop", "dup", "line"]))
+            if edit == "value":
+                lines[i] = f"{key}= {data.draw(value)}"
+            elif edit == "drop":
+                del lines[i]
+            elif edit == "dup":
+                lines.insert(i, lines[i])
+            else:
+                lines.insert(i, data.draw(st.text(max_size=40)))
+            if not lines:
+                break
+        try:
+            cfg = model.config_from_text("\n".join(lines))
+        except ConfigError:
+            return
+        assert isinstance(cfg, model.ModelConfig)

@@ -3,6 +3,8 @@ accounting, cache bookkeeping, flush semantics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbse import dsp, layers, model, streaming
 from fbse.autodiff import Tensor
@@ -291,6 +293,22 @@ class TestStreamContract:
         out = np.concatenate(pieces)
         assert out.size == n
         np.testing.assert_allclose(out, offline.samples, atol=1e-5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 4000), seed=st.integers(0, 2**31), first=st.integers(1, 480),
+           rest=st.lists(st.integers(0, 480), max_size=11))
+    def test_random_push_sizes_match_forward(self, tiny_model, n, seed, first, rest):
+        x, sizes = rand_audio(n, seed=seed), [first, *rest]
+        state = streaming.stream_create(tiny_model)
+        pieces, lo, k = [], 0, 0
+        while lo < n:
+            size = sizes[k % len(sizes)]
+            pieces.append(streaming.stream_push(state, x.samples[lo : lo + size]))
+            lo, k = lo + size, k + 1
+        pieces.append(streaming.stream_flush(state))
+        out = np.concatenate(pieces)
+        assert out.size == n
+        assert np.max(np.abs(out - tiny_model.forward(x).samples)) <= 1e-5
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_block_rejected_without_state_change(self, tiny_model, bad):
