@@ -41,13 +41,19 @@ def _load_model(args):
     return m
 
 
-def _read_48k(path):
-    """A 48 kHz WAV with at least one sample; bad audio raises an :class:`FbseError`."""
+def _read_nonempty(path):
+    """A WAV with at least one sample; bad audio raises an :class:`FbseError`."""
     buf = audio_io.read_wav(path)
-    if buf.sample_rate != dsp.FULLBAND_RATE:
-        raise InvalidSampleRateError(f"{path}: engine input must be 48 kHz, got {buf.sample_rate}")
     if buf.length == 0:
         raise EmptyInputError(f"{path}: holds no samples")
+    return buf
+
+
+def _read_48k(path):
+    """A 48 kHz WAV with at least one sample; bad audio raises an :class:`FbseError`."""
+    buf = _read_nonempty(path)
+    if buf.sample_rate != dsp.FULLBAND_RATE:
+        raise InvalidSampleRateError(f"{path}: engine input must be 48 kHz, got {buf.sample_rate}")
     return buf
 
 
@@ -175,8 +181,8 @@ def cmd_mix(args) -> int:
 
 def cmd_sdr(args) -> int:
     try:
-        ref = audio_io.read_wav(args.reference)
-        est = audio_io.read_wav(args.estimate)
+        ref = _read_nonempty(args.reference)
+        est = _read_nonempty(args.estimate)
         value = training.sdr(ref, est)
     except (FbseError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -8,10 +8,10 @@ least-squares inverse of Griffin & Lim (1984).
 
 This module is the only definition of that framing: :func:`stft`/:func:`istft`,
 the block-wise offline forward and the streaming runtime are all built from
-:func:`analysis_frames` and :func:`synthesis_frames`, all but streaming also from
-:func:`frame_view`, :func:`overlap_add` and :func:`normalize_hops`. A frame
-spans exactly two hops, so the window-energy denominator of any output hop is
-one of three constants (first, middle, last hop) and no running sum is kept.
+:func:`analysis_frames`, :func:`synthesis_frames` and :func:`wola`, the one
+overlap-add. A frame spans exactly two hops, so the window-energy denominator
+of any output hop is one of three constants (first, middle, last hop), and
+the only carried synthesis state is the previous frame's second half.
 
 Complex spectra can be moved between the linear domain and a magnitude-
 compressed domain ``|S|^c * exp(i*arg(S))``.
@@ -60,6 +60,18 @@ LINEAR = "linear"
 COMPRESSED = "compressed"
 
 
+def real_samples(samples) -> np.ndarray:
+    """``samples`` as a float64 array; strings, objects and complex values
+    raise :class:`~fbse.errors.ShapeMismatchError` instead of being cast."""
+    try:
+        arr = np.asarray(samples)
+    except ValueError as exc:  # ragged nesting
+        raise ShapeMismatchError(f"expected real samples: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise ShapeMismatchError(f"expected real samples, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 @dataclass
 class AudioBuffer:
     """Mono PCM samples (nominally in [-1, 1]) plus their sample rate."""
@@ -68,7 +80,7 @@ class AudioBuffer:
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        self.samples = real_samples(self.samples)
         if self.samples.ndim != 1:
             raise ShapeMismatchError(f"expected mono 1-D samples, got shape {self.samples.shape}")
         if self.sample_rate not in (SUBBAND_RATE, FULLBAND_RATE):
@@ -195,21 +207,16 @@ def frame_view(signals: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(sig, WIN_LEN, axis=-1)[..., ::HOP_LEN, :]
 
 
-def overlap_add(hops: np.ndarray, segs: np.ndarray):
-    """Add the WOLA terms ``segs`` ``[..., n, WIN_LEN]`` of frames ``t0..t0+n-1``
-    into hops ``t0..t0+n``, ``hops`` ``[..., n+1, HOP_LEN]``: each second half,
-    then each first half. Block after block, that is one whole-signal call's sum."""
-    hops[..., 1:, :] += segs[..., HOP_LEN:]
-    hops[..., :-1, :] += segs[..., :HOP_LEN]
-
-
-def normalize_hops(hops: np.ndarray) -> np.ndarray:
-    """Divide the complete hop grid ``[..., frames+1, HOP_LEN]`` in place by
-    the first/middle/last-hop denominators; returns ``hops``."""
-    hops[..., 1:-1, :] /= OLA_DENOM_MIDDLE
-    hops[..., 0, :] /= OLA_DENOM_FIRST
-    hops[..., -1, :] /= OLA_DENOM_LAST
-    return hops
+def wola(tail: np.ndarray, segs: np.ndarray, first=False):
+    """Overlap-add the WOLA terms ``segs`` ``[..., n, WIN_LEN]`` onto ``tail``,
+    the second half of the frame before them. Returns the ``n`` completed hops,
+    each divided by the middle-hop denominator (hop 0 by the first-hop one if
+    ``first``), and the new tail; the grid's last hop is ``tail / OLA_DENOM_LAST``."""
+    num = segs[..., :HOP_LEN] + np.concatenate([tail[..., None, :], segs[..., :-1, HOP_LEN:]], -2)
+    hops = num / OLA_DENOM_MIDDLE
+    if first:
+        hops[..., 0, :] = num[..., 0, :] / OLA_DENOM_FIRST
+    return hops, segs[..., -1, HOP_LEN:]
 
 
 def stft(x: AudioBuffer) -> ComplexSpectrum:
@@ -234,9 +241,8 @@ def istft(spec: ComplexSpectrum, length: int | None = None) -> AudioBuffer:
     """
     if spec.domain != LINEAR:
         raise DomainError("istft needs a linear-domain spectrum; decompress first")
-    hops = np.zeros((spec.frames + 1, HOP_LEN), dtype=np.float64)
-    overlap_add(hops, synthesis_frames(spec.real + 1j * spec.imag))
-    out = normalize_hops(hops).reshape(-1)
+    hops, tail = wola(np.zeros(HOP_LEN), synthesis_frames(spec.real + 1j * spec.imag), first=True)
+    out = np.concatenate([hops.reshape(-1), tail / OLA_DENOM_LAST])
     if length is not None:
         out = out[:length]
     return AudioBuffer(out, SUBBAND_RATE)

@@ -644,28 +644,49 @@ class Enhancer:
 
     # -- audio-level forward ------------------------------------------------
 
+    def enhance_frames(self, frames, state, disable_compensation=False):
+        """Time frames ``[3, n, WIN_LEN]`` that continue the stream ``state``
+        -> their WOLA terms ``[3, n, WIN_LEN]``: analysis, compression, model,
+        expansion and synthesis, the one block body of offline and streaming.
+
+        One frame with compensation on runs :meth:`stream_step`, any other block
+        :meth:`enhance_spectra` untaped; both fill the same per-layer state. At
+        one frame the step kernels make about a third of the Python calls.
+        """
+        c = self.cfg.compression
+        spec = dsp.analysis_frames(frames)                               # [3, n, F]
+        r, i = dsp.compressed_planes(spec.real, spec.imag, c)
+        if frames.shape[1] == 1 and not disable_compensation:
+            pairs = zip(r[:, 0].astype(self.dtype), i[:, 0].astype(self.dtype))
+            out = [(er[None], ei[None]) for er, ei in self.stream_step(state, list(pairs))]
+        else:
+            with no_grad():
+                st = self.enhance_spectra(list(zip(r, i)), disable_compensation=disable_compensation,
+                                          state=state)
+            out = [(er.data, ei.data) for er, ei in st.enhanced]
+        er, ei = np.array(list(zip(*out)), dtype=np.float64)                   # [3, n, F] each
+        lr, li = dsp.compressed_planes(er, ei, 1.0 / c)
+        return dsp.synthesis_frames(lr + 1j * li)
+
     def forward(self, audio: dsp.AudioBuffer, disable_compensation=False) -> dsp.AudioBuffer:
         """Offline enhancement of a 48 kHz buffer; output length == input length.
 
-        The frames run ``TIME_BLOCK`` at a time, analysis to overlap-add, and
-        carry one stream state: memory is O(model + block) besides the samples.
+        :meth:`enhance_frames` runs ``TIME_BLOCK`` frames at a time over one
+        stream state, and :func:`fbse.dsp.wola` adds each block's terms to the
+        tail of the one before: memory is O(model + block) besides the samples.
         NaN or inf samples raise :class:`~fbse.errors.NonFiniteInputError` first.
         """
         if not np.isfinite(audio.samples).all():
             raise NonFiniteInputError("audio holds NaN or inf samples")
         frames = dsp.frame_view(np.array([ch.samples for ch in dsp.extract(audio).channels]))
-        hops = np.zeros((NUM_CHANNELS, frames.shape[1] + 1, dsp.HOP_LEN))  # [3, T+1, HOP]
-        state, c = {}, self.cfg.compression
-        with no_grad():
-            for t0 in range(0, frames.shape[1], TIME_BLOCK):
-                spec = dsp.analysis_frames(frames[:, t0 : t0 + TIME_BLOCK])  # [3, n, F]
-                pairs = list(zip(*dsp.compressed_planes(spec.real, spec.imag, c)))
-                st = self.enhance_spectra(pairs, disable_compensation=disable_compensation, state=state)
-                out = np.array([[p.data for p in pair] for pair in st.enhanced], dtype=np.float64)
-                lr, li = dsp.compressed_planes(out[:, 0], out[:, 1], 1.0 / c)
-                dsp.overlap_add(hops[:, t0 : t0 + TIME_BLOCK + 1], dsp.synthesis_frames(lr + 1j * li))
+        hops = np.empty((NUM_CHANNELS, frames.shape[1] + 1, dsp.HOP_LEN))  # [3, T+1, HOP]
+        state, tail = {}, np.zeros((NUM_CHANNELS, dsp.HOP_LEN))
+        for t0 in range(0, frames.shape[1], TIME_BLOCK):
+            segs = self.enhance_frames(frames[:, t0 : t0 + TIME_BLOCK], state, disable_compensation)
+            hops[:, t0 : t0 + segs.shape[1]], tail = dsp.wola(tail, segs, first=t0 == 0)
+        hops[:, -1] = tail / dsp.OLA_DENOM_LAST
         del frames
-        subs = dsp.normalize_hops(hops).reshape(NUM_CHANNELS, -1)  # interpolate trims them
+        subs = hops.reshape(NUM_CHANNELS, -1)  # interpolate trims them
         bank = dsp.SubChannelBank(tuple(dsp.AudioBuffer(ch, dsp.SUBBAND_RATE) for ch in subs),
                                   origin_length=audio.length)
         return dsp.interpolate(bank)

@@ -1,20 +1,19 @@
 """Frame-accurate real-time execution of the enhancement model.
 
-One push carries one 10 ms hop (480 samples at 48 kHz). Internally each push
-advances the three sub-channel analyses by one 320-sample Hamming frame,
-steps the model once, and overlap-adds the synthesis. Emission is delayed by
-exactly the 30 ms algorithmic latency (analysis window + one synthesis hop,
-1440 samples at 48 kHz): the first three pushes return empty arrays, after
-which every push returns one hop of enhanced audio, and ``stream_flush``
-drains the remainder so that total output equals total input bit-for-bit in
-length. The emitted sample stream is identical to the offline
+One push carries one 10 ms hop (480 samples at 48 kHz). Each push completes
+one 320-sample frame of the three sub-channels from the previous hop and the
+new one, and runs it through :meth:`fbse.model.Enhancer.enhance_frames` and
+:func:`fbse.dsp.wola`, as the offline forward runs its blocks. Emission is
+delayed by exactly the 30 ms algorithmic latency (analysis window + one
+synthesis hop, 1440 samples at 48 kHz): the first three pushes return empty
+arrays, after which every push returns one hop of enhanced audio, and
+``stream_flush`` drains the remainder so that total output equals total input
+bit-for-bit in length. The emitted sample stream is identical to the offline
 :meth:`fbse.model.Enhancer.forward` output.
 
-The framing is defined once, in :mod:`fbse.dsp`: each hop makes one analysis
-and one synthesis call for all three sub-channels. As a frame spans two hops,
-the only synthesis state is the previous frame's second half (``ola_tail``),
-and each emitted hop is divided by a constant first- or middle-hop
-denominator (the last-hop one at flush).
+This module keeps only buffering, latency and overlap-add state: the previous
+hop (``prev_hop``) and the previous frame's second half (``ola_tail``), which
+``stream_flush`` emits as the frame grid's last hop.
 
 Per-layer state is exact and owned by the layer: in ``StreamState.model_state``,
 one flat dict that is empty at creation, every dilated convolution caches
@@ -25,7 +24,7 @@ regardless of stream length, and streams over one model share only weights.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +54,6 @@ class LatencyReport:
     per_frame_compute_ms: float = 0.0
     rtf: float = 0.0
     frames_measured: int = 0
-    stage_ms: dict = field(default_factory=dict)
 
 
 class StreamState:
@@ -73,7 +71,6 @@ class StreamState:
         self.samples_out = 0          # real samples emitted
         self.ready = np.zeros(0, dtype=np.float64)
         self.closed = False
-        self.timers = {"dsp": 0.0, "model": 0.0}
 
     # spec-facing views ------------------------------------------------------
 
@@ -95,37 +92,21 @@ def stream_create(model) -> StreamState:
     return StreamState(model)
 
 
-def _queue_hop(state: StreamState, num16, den):
-    """Normalize one WOLA hop [3, HOP_LEN], interleave it to 48 kHz and queue it."""
-    out48 = np.empty(BLOCK_SAMPLES, dtype=np.float64)
-    out48.reshape(dsp.HOP_LEN, 3)[...] = (num16 / den).T
-    state.ready = np.concatenate([state.ready, out48])
+def _queue_hop(state: StreamState, hop16):
+    """Interleave one output hop [3, HOP_LEN] to 48 kHz and queue it."""
+    state.ready = np.concatenate([state.ready, hop16.T.ravel()])
 
 
 def _consume_block(state: StreamState, block48):
     """Advance one hop: 480 interleaved samples -> maybe one model frame."""
-    hops = np.ascontiguousarray(block48.reshape(dsp.HOP_LEN, 3).T)
+    hop = np.ascontiguousarray(block48.reshape(dsp.HOP_LEN, 3).T)
     if state.hops >= 1:
-        t0 = time.perf_counter()
-        spec = dsp.analysis_frames(np.concatenate([state.prev_hop, hops], axis=1))
-        r, i = dsp.compressed_planes(spec.real, spec.imag, state.model.cfg.compression)
-        dt = state.model.dtype
-        frame_pairs = [(r[ch].astype(dt), i[ch].astype(dt)) for ch in range(3)]
-        t1 = time.perf_counter()
-        enhanced = state.model.stream_step(state.model_state, frame_pairs)
-        t2 = time.perf_counter()
-        lr, li = dsp.compressed_planes(np.array([er for er, _ in enhanced], dtype=np.float64),
-                                       np.array([ei for _, ei in enhanced], dtype=np.float64),
-                                       1.0 / state.model.cfg.compression)
-        segs = dsp.synthesis_frames(lr + 1j * li)
-        den = dsp.OLA_DENOM_FIRST if state.frames_done == 0 else dsp.OLA_DENOM_MIDDLE
-        _queue_hop(state, state.ola_tail + segs[:, : dsp.HOP_LEN], den)
-        state.ola_tail = segs[:, dsp.HOP_LEN :]
+        frame = np.concatenate([state.prev_hop, hop], axis=1)[:, None]  # [3, 1, WIN_LEN]
+        segs = state.model.enhance_frames(frame, state.model_state)
+        hops, state.ola_tail = dsp.wola(state.ola_tail, segs, first=state.frames_done == 0)
+        _queue_hop(state, hops[:, 0])
         state.frames_done += 1
-        t3 = time.perf_counter()
-        state.timers["dsp"] += (t1 - t0) + (t3 - t2)
-        state.timers["model"] += t2 - t1
-    state.prev_hop = hops
+    state.prev_hop = hop
     state.hops += 1
 
 
@@ -149,7 +130,7 @@ def stream_push(state: StreamState, block) -> np.ndarray:
     """
     if state.closed:
         raise StreamClosedError("stream already flushed")
-    block = np.asarray(block, dtype=np.float64)
+    block = dsp.real_samples(block)
     if block.ndim != 1:
         raise ShapeMismatchError(f"expected mono block, got shape {block.shape}")
     if block.size > BLOCK_SAMPLES:
@@ -185,7 +166,7 @@ def stream_flush(state: StreamState) -> np.ndarray:
     while state.frames_done < needed_frames:
         _consume_block(state, np.zeros(BLOCK_SAMPLES, dtype=np.float64))
     # the last frame's second half is the final hop of the frame grid
-    _queue_hop(state, state.ola_tail, dsp.OLA_DENOM_LAST)
+    _queue_hop(state, state.ola_tail / dsp.OLA_DENOM_LAST)
     return _emit(state, state.samples_in)
 
 
@@ -218,9 +199,6 @@ def measure_rtf(model, seconds: float = 2.0, seed: int = 0,
         times.append(time.perf_counter() - t0)
     kept = times[warmup_frames:]
     per_frame_ms = 1000.0 * float(np.mean(kept))
-    frames = state.frames_done
-    stage_ms = {name: 1000.0 * total / max(frames, 1) for name, total in state.timers.items()}
     return LatencyReport(per_frame_compute_ms=per_frame_ms,
                          rtf=per_frame_ms / HOP_MS,
-                         frames_measured=n_blocks,
-                         stage_ms=stage_ms)
+                         frames_measured=n_blocks)

@@ -2,16 +2,17 @@
 
 ``perfbench/instrument.py`` wraps fbse functions and methods by name; a
 refactor that renames one, or stops calling it on its path, leaves the
-per-layer metrics reading zero without any error. This runs one tiny
-streaming step and one tiny offline forward under the tracer and checks
-that each wrapped layer entry recorded spans.
+per-layer metrics reading zero without any error. This runs a tiny stream
+through ``stream_push``, a tiny offline forward and one untaped whole-sequence
+call under the tracer, and checks that each path recorded the spans of the
+entry points the benchmark reads on it.
 """
 
 import os
 
 import numpy as np
 
-from fbse import layers, model
+from fbse import dsp, layers, model, streaming
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -24,15 +25,25 @@ def test_tracer_sees_the_layer_kernels(monkeypatch):
     m = model.Enhancer(model.ModelConfig.tiny(), seed=0)
     bins = m.cfg.bins
     rng = np.random.default_rng(0)
-    frame = [(rng.standard_normal(bins), rng.standard_normal(bins))] * model.NUM_CHANNELS
-    spectra = [(rng.standard_normal((4, bins)), rng.standard_normal((4, bins)))] * len(frame)
+    x = rng.uniform(-0.5, 0.5, 6 * streaming.BLOCK_SAMPLES)
+    spectra = [(rng.standard_normal((4, bins)), rng.standard_normal((4, bins)))] * 3
     originals = (layers.Conv1d.step, layers.conv1d_forward)
     with instrument.FbseTracer().install() as tr:
         tr.add_model(m)
-        m.stream_step(m.init_stream_state(), frame)
+        state = streaming.stream_create(m)
+        for lo in range(0, x.size, streaming.BLOCK_SAMPLES):
+            streaming.stream_push(state, x[lo : lo + streaming.BLOCK_SAMPLES])
+        pushed = len(tr.spans)
+        m.forward(dsp.AudioBuffer(x, dsp.FULLBAND_RATE))
+        offline = len(tr.spans)
         m.enhance_spectra(spectra)
         names = [s[NAME] for s in tr.spans]
-    for name in ("layers.Conv1d.step", "layers.Lstm.step", "layers.PReLU.step",
-                 "layers.conv1d_forward", "layers.lstm_seq_forward"):
-        assert names.count(name) > 0, name
+    stream, forward, whole = names[:pushed], names[pushed:offline], names[offline:]
+    for name in ("model.Enhancer.stream_step", "layers.Conv1d.step", "layers.Lstm.step",
+                 "layers.PReLU.step"):
+        assert stream.count(name) > 0, name
+    assert "model.Enhancer.enhance_spectra" not in stream
+    assert forward.count("model.Enhancer.enhance_spectra") > 0
+    for name in ("layers.conv1d_forward", "layers.lstm_seq_forward"):
+        assert whole.count(name) > 0, name
     assert (layers.Conv1d.step, layers.conv1d_forward) == originals

@@ -137,6 +137,12 @@ class TestBadAudioBoundary:
         assert code == 2
         assert "no samples" in err and "Traceback" not in err
 
+    def test_zero_sample_wavs_to_sdr_exit_2(self, wav_48k, capsys):
+        empty = wav_48k("empty.wav", np.zeros(0))
+        code, stdout, err = run(["sdr", empty, empty], capsys)
+        assert code == 2 and stdout == ""
+        assert "no samples" in err and "Traceback" not in err
+
     def test_truncated_pcm16_wav_exits_2(self, tiny_cfg_path, tmp_path, capsys):
         path = tmp_path / "cut.wav"
         audio_io.write_wav(path, dsp.AudioBuffer(np.zeros(4800), 48000), fmt="pcm16")

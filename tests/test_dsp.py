@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbse import dsp
@@ -21,6 +21,21 @@ def buf48(samples):
 
 def buf16(samples):
     return dsp.AudioBuffer(np.asarray(samples, dtype=np.float64), 16000)
+
+
+class TestAudioBuffer:
+    @pytest.mark.parametrize("bad", [["a"] * 10, object(), np.full(4, 0.5 + 0.5j), [0.1, None],
+                                     [[0.1], [0.1, 0.2]]],
+                             ids=["strings", "object", "complex", "none", "ragged"])
+    def test_samples_that_are_not_real_numbers_rejected(self, bad):
+        with pytest.raises(ShapeMismatchError, match="real samples"):
+            dsp.AudioBuffer(bad, 48000)
+
+    def test_integer_and_float32_samples_become_float64(self):
+        for samples in ([0, 1, -1], np.array([0.5, -0.25], dtype=np.float32), [True, False]):
+            buf = dsp.AudioBuffer(samples, 48000)
+            assert buf.samples.dtype == np.float64
+            assert np.array_equal(buf.samples, np.asarray(samples, dtype=np.float64))
 
 
 class TestExtractInterpolate:
@@ -196,6 +211,26 @@ class TestIstft:
             den[lo : lo + dsp.WIN_LEN] += win * win
         ref = (num / np.maximum(den, dsp.OLA_DENOM_FLOOR))[:length]
         assert np.array_equal(dsp.istft(spec, length=length).samples, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(frames=st.integers(1, 40), seed=st.integers(0, 2**31),
+           sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    @example(frames=5, seed=0, sizes=[1])
+    @example(frames=33, seed=1, sizes=[32, 1])
+    def test_wola_blocks_equal_one_whole_grid_call(self, frames, seed, sizes):
+        """WOLA terms cut into blocks, the tail carried from block to block,
+        give the hops of one call over the whole grid, bit for bit."""
+        segs = np.random.default_rng(seed).standard_normal((3, frames, dsp.WIN_LEN))
+        tail, pieces, lo, k = np.zeros((3, dsp.HOP_LEN)), [], 0, 0
+        while lo < frames:
+            hi = min(lo + sizes[k % len(sizes)], frames)
+            hops, tail = dsp.wola(tail, segs[:, lo:hi], first=lo == 0)
+            pieces.append(hops)
+            lo, k = hi, k + 1
+        pieces.append((tail / dsp.OLA_DENOM_LAST)[:, None])
+        whole, last = dsp.wola(np.zeros((3, dsp.HOP_LEN)), segs, first=True)
+        assert np.array_equal(np.concatenate(pieces, axis=1),
+                              np.concatenate([whole, (last / dsp.OLA_DENOM_LAST)[:, None]], axis=1))
 
     def test_window_constants_read_only(self):
         for const in (dsp.WINDOW, dsp.OLA_DENOM_FIRST, dsp.OLA_DENOM_MIDDLE, dsp.OLA_DENOM_LAST):

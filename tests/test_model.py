@@ -332,6 +332,23 @@ class TestForward:
             ref = whole_synthesis([(r.data, i.data) for r, i in st.enhanced], bank, c)
             np.testing.assert_allclose(run(x).samples, ref.samples, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("stage1", [False, True])
+    def test_frames_one_at_a_time_equal_one_block(self, tiny, monkeypatch, stage1):
+        """Single frames take the step kernels (the stage-1 path excepted) and
+        give the terms of one whole-block call over the same state."""
+        n = 12
+        frames = np.random.default_rng(7).uniform(-0.5, 0.5, (model.NUM_CHANNELS, n, dsp.WIN_LEN))
+        whole = tiny.enhance_frames(frames, {}, disable_compensation=stage1)
+        steps = []
+        step = tiny.stream_step
+        monkeypatch.setattr(tiny, "stream_step", lambda *a: steps.append(1) or step(*a))
+        state = {}
+        single = np.concatenate([tiny.enhance_frames(frames[:, t : t + 1], state, stage1)
+                                 for t in range(n)], axis=1)
+        assert whole.shape == single.shape == (model.NUM_CHANNELS, n, dsp.WIN_LEN)
+        assert len(steps) == (0 if stage1 else n)
+        np.testing.assert_allclose(single, whole, rtol=0, atol=1e-12)
+
     def test_stream_state_refuses_training_and_the_tape(self, tiny):
         pairs = [(np.ones((2, 161)), np.ones((2, 161)))] * 3
         with pytest.raises(ValueError):
